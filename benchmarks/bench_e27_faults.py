@@ -32,7 +32,7 @@ from conftest import once, write_snapshot
 
 from repro.core import transitive_closure_transducer
 from repro.db import instance, schema
-from repro.net import FaultPlan, check_consistency, line
+from repro.net import FaultPlan, SweepEngine, check_consistency, line
 
 S2 = schema(S=2)
 CHAIN_FACTS = 20
@@ -129,7 +129,7 @@ def test_e27_fault_plane(benchmark, report):
             t0 = time.perf_counter()
             faulty = check_consistency(
                 net, transducer, chain, faults=plan,
-                workers=GRID_WORKERS, **kwargs,
+                engine=SweepEngine(workers=GRID_WORKERS), **kwargs,
             )
             seconds = time.perf_counter() - t0
             counts = faulty.fault_counts()

@@ -166,11 +166,8 @@ def calm_verdict(
     check_coordination: bool = True,
     seed: int = 0,
     batch_delivery: bool = False,
-    workers: int = 1,
-    backend: str | None = None,
     memo=None,
     run_cache=None,
-    pool=None,
     engine=None,
     faults=None,
     static_first: bool = False,
@@ -186,15 +183,16 @@ def calm_verdict(
     mode — only legal (and only meaningful) for oblivious, monotone,
     inflationary transducers, where CALM guarantees the same computed query.
 
-    *workers*/*backend*/*engine* parallelize the run sweeps underneath
+    *engine* (a :class:`~repro.net.executor.SweepEngine`; ``None`` runs
+    serially in-process) executes the run sweeps underneath
     (coordination witness search, NTI consistency probes); *memo*
     shares one cross-run convergence memo across every fair run the
     diagnostic performs — one transducer, hence one sound scope.
     *run_cache* skips whole runs the cache has seen (the diagnostic
     re-executes many identical cells across its probes — and across
     *diagnostics*, since the cache is fingerprint-keyed); a
-    ``persistent``-lifetime *engine* (or the deprecated *pool*) runs
-    every sweep underneath through one live fork pool.  All verdicts
+    ``persistent``-lifetime *engine* runs every sweep underneath
+    through one live fork pool.  All verdicts
     are identical with or without any of these knobs.
 
     *faults* (a :class:`~repro.net.faults.FaultPlan`) subjects the
@@ -246,11 +244,8 @@ def calm_verdict(
         networks=[single(), network],
         partition_count=2,
         seeds=(seed,),
-        workers=workers,
-        backend=backend,
         memo=memo,
         run_cache=run_cache,
-        pool=pool,
         engine=engine,
         faults=faults,
     )
@@ -279,8 +274,7 @@ def calm_verdict(
                 expected = query(probe)
                 report = check_coordination_free_on(
                     network, transducer, probe, expected,
-                    workers=workers, backend=backend,
-                    run_cache=run_cache, pool=pool, engine=engine,
+                    run_cache=run_cache, engine=engine,
                 )
                 verdicts.append(report.coordination_free)
             coordination_free = all(verdicts)

@@ -175,10 +175,7 @@ def run_distributed(
     broadcast: set[str] | None = None,
     batch_async: bool = False,
     seeds: tuple[int, ...] | None = None,
-    workers: int = 1,
-    backend: str | None = None,
     run_cache=None,
-    pool=None,
     engine=None,
     lang_engine: str | None = None,
     faults=None,
@@ -200,7 +197,7 @@ def run_distributed(
 
     With *seeds* (a tuple of arrival-schedule seeds), the run becomes a
     sweep: the localized program is executed once per seed — in
-    parallel when ``workers > 1``, see :mod:`repro.net.executor` — and
+    parallel on a parallel *engine*, see :mod:`repro.net.executor` — and
     a list of traces comes back in seed order, identical to running the
     seeds serially.  That is the Section 8 analogue of quantifying
     consistency over fair runs: every arrival schedule must stabilize
@@ -211,8 +208,8 @@ def run_distributed(
     ``(program, network, partition, seed, kwargs)``, and Dedalus
     programs always fingerprint canonically (their rules are plain
     ASTs).  *engine* (a :class:`~repro.net.executor.SweepEngine`, e.g.
-    a ``persistent``-lifetime one) or the deprecated *pool* fans a
-    seeds sweep over a live worker pool.
+    a ``persistent``-lifetime one; ``None`` runs serially in-process)
+    fans a seeds sweep over a live worker pool.
 
     *lang_engine* selects the local evaluation engine of
     :mod:`repro.lang.engine` ("nested", "indexed" or "columnar") for
@@ -240,10 +237,7 @@ def run_distributed(
             seeds=seeds,
             broadcast=broadcast,
             batch_async=batch_async,
-            workers=workers,
-            backend=backend,
             run_cache=run_cache,
-            pool=pool,
             engine=engine,
             lang_engine=lang_engine,
             **run_kwargs,
@@ -302,10 +296,7 @@ def sweep_distributed(
     seeds: tuple[int, ...] = (0,),
     broadcast: set[str] | None = None,
     batch_async: bool = False,
-    workers: int = 1,
-    backend: str | None = None,
     run_cache=None,
-    pool=None,
     engine=None,
     lang_engine: str | None = None,
     faults=None,
@@ -324,18 +315,17 @@ def sweep_distributed(
     the partition, the seed and the kwargs) — the shared
     :class:`~repro.net.executor.CacheSplice` bookkeeping, so equal
     cells inside one grid also collapse to a single run.  *engine*
-    selects the executor outright; the deprecated *pool* and the
-    *workers*/*backend* pair are accepted as before.  *lang_engine*
+    is the executor (``None``: serial, in-process).  *lang_engine*
     picks the local evaluation engine inside every cell, as in
     :func:`run_distributed`.  *faults* injects the same seeded
     :class:`~repro.net.faults.FaultPlan` into every cell (and into
     every cell's cache key).
     """
-    from ..net.executor import CacheSplice, resolve_engine
-    from ..lang.engine import resolve_engine as resolve_lang_engine
+    from ..net.executor import CacheSplice, SweepEngine
+    from ..lang.engine import resolve_engine
 
     if lang_engine is not None:
-        resolve_lang_engine(lang_engine)  # validate before fan-out
+        resolve_engine(lang_engine)  # validate before fan-out
     if faults is not None:
         run_kwargs["faults"] = faults
     localized = localize(program, broadcast)
@@ -349,7 +339,7 @@ def sweep_distributed(
             localized, network, task[0], task[1], batch_async, run_kwargs
         ),
     )
-    eng = resolve_engine(engine=engine, pool=pool, workers=workers, backend=backend)
+    eng = engine if engine is not None else SweepEngine()
     return splice.fill(eng.map(_distributed_task, context, splice.pending_tasks))
 
 

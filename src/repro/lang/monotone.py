@@ -4,9 +4,10 @@ Monotonicity is the pivot of the CALM property (Corollary 13): a query
 is distributedly computable coordination-freely iff it is monotone.
 Semantic monotonicity is undecidable, so the library offers
 
-* :func:`is_monotone_syntactic` — a sound, incomplete certificate
-  (positive-existential FO, negation-free Datalog/UCQ, declared-monotone
-  Python queries);
+* ``query.is_monotone_syntactic()`` and
+  :func:`repro.analysis.static.analyze_query` — sound, incomplete
+  certificates (positive-existential FO, negation-free Datalog/UCQ,
+  declared-monotone Python queries);
 * :func:`find_monotonicity_counterexample` — randomized search for
   instances ``I ⊆ J`` with ``Q(I) ⊄ Q(J)``, used by the E12 bench to
   *refute* monotonicity of coordinating transducers' queries.
@@ -22,29 +23,6 @@ from ..db.fact import Fact
 from ..db.instance import Instance
 from ..db.schema import DatabaseSchema
 from .query import Query, QueryUndefined
-
-
-def is_monotone_syntactic(query: Query) -> bool:
-    """Sound syntactic monotonicity: ``True`` implies the query is monotone.
-
-    .. deprecated::
-        Use :func:`repro.analysis.static.analyze_query` (which carries
-        diagnostics and provenance) or the query's own
-        ``is_monotone_syntactic`` method.  This free function will be
-        removed once external callers migrate.
-    """
-    import warnings
-
-    warnings.warn(
-        "repro.lang.monotone.is_monotone_syntactic is deprecated; use "
-        "repro.analysis.static.analyze_query(query).certifies('monotone') "
-        "or query.is_monotone_syntactic()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from ..analysis.static import analyze_query
-
-    return analyze_query(query).certifies("monotone")
 
 
 def check_monotone_pair(query: Query, small: Instance, big: Instance) -> bool:

@@ -119,11 +119,8 @@ def observe_runs(
     max_steps: int = 20_000,
     batch_delivery: bool = False,
     convergence: str = "incremental",
-    workers: int = 1,
-    backend: str | None = None,
     memo=None,
     run_cache=None,
-    pool=None,
     engine=None,
     faults=None,
 ) -> list[RunObservation]:
@@ -135,19 +132,19 @@ def observe_runs(
     inflationary) transducers are fair
     runs too, so sampling them strengthens the evidence.
 
-    *workers*/*backend*/*engine* select the sweep engine (see
-    :mod:`repro.net.executor`): runs are independent, so they execute
-    concurrently without changing a single observation — the returned
-    list is identical to the serial one for every worker count.
+    *engine* (a :class:`~repro.net.executor.SweepEngine`; ``None``
+    runs serially in-process) executes the sweep: runs are
+    independent, so they execute concurrently without changing a
+    single observation — the returned list is identical to the serial
+    one for every worker count.
     *memo* opts into cross-run convergence memoization (``True`` for
     the memo hung off the transducer, or an explicit
     :class:`~repro.net.convergence.ConvergenceMemo`); it accelerates
     checks without affecting verdicts.  *run_cache* short-circuits
     whole runs already known to the
     :class:`~repro.net.runcache.RunCache`, and a ``persistent``-lifetime
-    *engine* (or the deprecated *pool*) reuses one live fork pool
-    across consecutive sweeps; both also leave every observation
-    unchanged.  *faults* (a :class:`~repro.net.faults.FaultPlan`)
+    *engine* reuses one live fork pool across consecutive sweeps; both
+    also leave every observation unchanged.  *faults* (a :class:`~repro.net.faults.FaultPlan`)
     subjects every run to the same seeded fault plan — a faulty run is
     still a deterministic function of ``(plan, seed, scheduler)``, so
     the returned observations stay reproducible bit-for-bit.
@@ -164,11 +161,8 @@ def observe_runs(
         max_steps=max_steps,
         batch_delivery=batch_delivery,
         convergence=convergence,
-        workers=workers,
-        backend=backend,
         memo=memo,
         run_cache=run_cache,
-        pool=pool,
         engine=engine,
         faults=faults,
     )
@@ -184,11 +178,8 @@ def check_consistency(
     max_steps: int = 20_000,
     batch_delivery: bool = False,
     convergence: str = "incremental",
-    workers: int = 1,
-    backend: str | None = None,
     memo=None,
     run_cache=None,
-    pool=None,
     engine=None,
     faults=None,
 ) -> ConsistencyReport:
@@ -196,42 +187,28 @@ def check_consistency(
 
     Consistency fails definitively if two fair runs produced different
     outputs; it is supported (not proved) when all sampled runs agree.
-    *workers*/*backend*/*engine*/*memo*/*run_cache*/*pool* parallelize,
-    memoize and cache the underlying sweep (see :func:`observe_runs`) without
-    changing the report's evidence; memo and run-cache effectiveness
-    are surfaced on the report.  *faults* injects a seeded
+    *engine*/*memo*/*run_cache* parallelize, memoize and cache the
+    underlying sweep (see :func:`observe_runs`) without changing the
+    report's evidence; memo and run-cache effectiveness are surfaced on
+    the report.  The cache counts are this sweep's own lookups, even
+    when other sweeps share the cache.  *faults* injects a seeded
     :class:`~repro.net.faults.FaultPlan` into every run; the aggregate
     fault counters are surfaced on the report.
     """
     from .convergence import resolve_memo
-    from .runcache import resolve_run_cache
+    from .executor import _sweep
 
     memo = resolve_memo(memo, transducer)
-    cache = resolve_run_cache(run_cache, transducer)
-    hits0 = misses0 = chits0 = cmisses0 = cdedup0 = 0
+    hits0 = misses0 = 0
     if memo is not None:
         hits0, misses0 = memo.memo_hits, memo.memo_misses
-    if cache is not None:
-        chits0, cmisses0 = cache.cache_hits, cache.cache_misses
-        cdedup0 = cache.cache_dedup
-    observations = observe_runs(
-        network,
-        transducer,
-        instance,
-        partitions,
-        partition_count,
-        seeds,
-        max_steps,
-        batch_delivery=batch_delivery,
-        convergence=convergence,
-        workers=workers,
-        backend=backend,
-        memo=memo,
-        run_cache=cache,
-        pool=pool,
-        engine=engine,
-        faults=faults,
+    if partitions is None:
+        partitions = sample_partitions(instance, network, partition_count)
+    splice = _sweep(
+        network, transducer, partitions, seeds, max_steps, batch_delivery,
+        convergence, memo, run_cache, engine, faults,
     )
+    observations = splice.results
     outputs = [obs.result.output for obs in observations]
     unconverged = sum(1 for obs in observations if not obs.result.converged)
     consistent = len(set(outputs)) <= 1
@@ -253,9 +230,9 @@ def check_consistency(
         unconverged=unconverged,
         memo_hits=memo.memo_hits - hits0 if memo is not None else 0,
         memo_misses=memo.memo_misses - misses0 if memo is not None else 0,
-        cache_hits=cache.cache_hits - chits0 if cache is not None else 0,
-        cache_misses=cache.cache_misses - cmisses0 if cache is not None else 0,
-        cache_dedup=cache.cache_dedup - cdedup0 if cache is not None else 0,
+        cache_hits=splice.hits,
+        cache_misses=splice.misses,
+        cache_dedup=splice.dedup,
         **fault_totals,
     )
 
@@ -346,11 +323,8 @@ def check_topology_independence(
     partition_count: int = 3,
     seeds: tuple[int, ...] = (0, 1),
     max_steps: int = 20_000,
-    workers: int = 1,
-    backend: str | None = None,
     memo=None,
     run_cache=None,
-    pool=None,
     engine=None,
     faults=None,
 ) -> TopologyIndependenceReport:
@@ -364,7 +338,7 @@ def check_topology_independence(
     memoized certificates depend only on the transducer, not on the
     topology (see :class:`~repro.net.convergence.ConvergenceMemo`).
     The same holds for *run_cache* (the network is part of the cache
-    key) and a persistent *engine*/*pool* — one live pool serves every
+    key) and a persistent *engine* — one live pool serves every
     per-network sweep, which is the fork-amortization this probe grid
     exists for.
     """
@@ -387,11 +361,8 @@ def check_topology_independence(
             partition_count=partition_count,
             seeds=seeds,
             max_steps=max_steps,
-            workers=workers,
-            backend=backend,
             memo=memo,
             run_cache=run_cache,
-            pool=pool,
             engine=engine,
             faults=faults,
         )

@@ -99,10 +99,7 @@ def check_coordination_free_on(
     exhaustive_limit: int = 4_096,
     sample_count: int = 12,
     max_rounds: int = 1_000,
-    workers: int = 1,
-    backend: str | None = None,
     run_cache=None,
-    pool=None,
     engine=None,
 ) -> CoordinationFreenessReport:
     """Search for a witness partition on *network* for *instance*.
@@ -115,7 +112,8 @@ def check_coordination_free_on(
     round bound); otherwise a negative verdict only reports that no
     sampled partition works.
 
-    *workers*/*backend*/*engine* probe candidate partitions
+    A parallel *engine* (a :class:`~repro.net.executor.SweepEngine`;
+    ``None`` probes serially in-process) probes candidate partitions
     concurrently, in chunks.  The report is deterministic and identical
     to the serial search: candidates keep their enumeration order, the
     witness is the *first* succeeding partition in that order, and
@@ -128,13 +126,13 @@ def check_coordination_free_on(
     ``"heartbeat-only"`` key kind, so re-checks — the CALM diagnostic
     probes the same transducer on the test instance *and* the empty
     instance, and CI re-probes yesterday's grid — skip straight to the
-    recorded outputs.  A ``persistent``-lifetime *engine* (or the
-    deprecated *pool*) probes chunks through one live fork pool
-    instead of forking a session per search.
+    recorded outputs.  A ``persistent``-lifetime *engine* probes
+    chunks through one live fork pool instead of forking a session per
+    search.
     """
     from itertools import islice
 
-    from .executor import CacheSplice, resolve_engine
+    from .executor import CacheSplice, SweepEngine
     from .runcache import resolve_run_cache, run_key, transducer_fingerprint
 
     nodes = len(network)
@@ -160,7 +158,7 @@ def check_coordination_free_on(
         )
 
     context = (network, transducer, max_rounds)
-    eng = resolve_engine(engine=engine, pool=pool, workers=workers, backend=backend)
+    eng = engine if engine is not None else SweepEngine()
     chunk_size = eng.workers if eng.parallel else 1
 
     def probes():

@@ -17,9 +17,9 @@ enforces the contract differentially: every (lifetime × workers ×
 cache configuration) combination is run against the serial unbounded
 reference and must match it bit for bit.
 
-PR 3 grew a per-sweep ``SweepExecutor`` and PR 4 a persistent
-``SweepPool`` with near-duplicate lifecycle code; this module fuses
-them into one :class:`SweepEngine` with three worker *lifetimes*:
+Every sweep entry point takes exactly one executor argument,
+``engine=``: a :class:`SweepEngine`, or ``None`` for an in-process
+serial one.  The engine has three worker *lifetimes*:
 
 * ``serial`` — the reference loop, in-process, no pool ever;
 * ``fork`` — a fresh fork pool per :class:`EngineSession`, with the
@@ -57,21 +57,15 @@ from .partition import HorizontalPartition
 from .run import run_fair
 
 __all__ = [
-    "BACKENDS",
     "CacheSplice",
     "EngineHealth",
     "EngineSession",
     "LIFETIMES",
     "SweepEngine",
-    "lifetime_for_backend",
-    "resolve_engine",
     "sweep_runs",
 ]
 
 LIFETIMES = ("serial", "fork", "persistent")
-
-#: Legacy backend names accepted by the deprecated ``backend=`` knob.
-BACKENDS = ("serial", "multiprocessing")
 
 
 def _fork_context():
@@ -539,52 +533,6 @@ class EngineSession:
             self.close()
 
 
-def lifetime_for_backend(backend: str | None) -> str | None:
-    """Translate the deprecated ``backend=`` knob into an engine lifetime.
-
-    ``None`` keeps the engine's auto choice; ``"serial"`` pins serial;
-    ``"multiprocessing"`` maps to the strict ``"fork"`` lifetime (an
-    explicit request that cannot parallelize raises, exactly as the old
-    executor did).
-    """
-    if backend is None:
-        return None
-    if backend == "serial":
-        return "serial"
-    if backend == "multiprocessing":
-        return "fork"
-    raise ValueError(
-        f"unknown sweep backend {backend!r}; expected one of {BACKENDS}"
-    )
-
-
-def resolve_engine(
-    engine: "SweepEngine | None" = None,
-    pool=None,
-    workers: int = 1,
-    backend: str | None = None,
-) -> SweepEngine:
-    """Normalize the execution knobs every sweep entry point accepts.
-
-    Precedence: an explicit *engine* wins; then *pool* (the deprecated
-    :class:`~repro.net.runcache.SweepPool`, which is an engine shim);
-    otherwise a fresh engine is built from the *workers*/*backend*
-    pair with the historical semantics (``backend=None`` quietly
-    degrades, an explicit ``"multiprocessing"`` that cannot
-    parallelize raises).  Caller-provided engines and pools are never
-    closed here — their lifecycle belongs to the caller.
-    """
-    if engine is not None:
-        if not isinstance(engine, SweepEngine):
-            raise TypeError(f"engine must be a SweepEngine, got {engine!r}")
-        return engine
-    if pool is not None:
-        if not isinstance(pool, SweepEngine):
-            raise TypeError(f"pool must be a SweepPool/SweepEngine, got {pool!r}")
-        return pool
-    return SweepEngine(workers=workers, lifetime=lifetime_for_backend(backend))
-
-
 # ---------------------------------------------------------------------------
 # The shared cache-splice bookkeeping
 # ---------------------------------------------------------------------------
@@ -623,6 +571,10 @@ class CacheSplice:
     task's own partition and seed); *store* (on :meth:`fill`) extracts
     the cacheable raw value back out of a fresh result.  Both default
     to the identity.
+
+    :attr:`hits`, :attr:`misses` and :attr:`dedup` count this grid's
+    cells alone.  The cache's own counters are shared by every sweep
+    that uses it, so a delta of them also counts concurrent sweeps.
     """
 
     def __init__(self, tasks, cache, key_fn, hit=None):
@@ -633,6 +585,7 @@ class CacheSplice:
         self.keys: list | None = None
         self.pending: list[int] = list(range(len(self.tasks)))
         self.duplicates: list[tuple[int, int]] = []
+        self.hits = self.misses = self.dedup = 0
         if cache is not None:
             self.keys = [key_fn(task) for task in self.tasks]
             self.pending = []
@@ -646,16 +599,20 @@ class CacheSplice:
                 # miss nor the hit count.
                 if key in hit_for_key:
                     cache.bump("cache_dedup")
+                    self.dedup += 1
                     self.results[i] = self._hit(self.tasks[i], hit_for_key[key])
                 elif key in first_for_key:
                     cache.bump("cache_dedup")
+                    self.dedup += 1
                     self.duplicates.append((i, first_for_key[key]))
                 else:
                     value = cache.get(key)
                     if value is not None:
+                        self.hits += 1
                         hit_for_key[key] = value
                         self.results[i] = self._hit(self.tasks[i], value)
                     else:
+                        self.misses += 1
                         first_for_key[key] = i
                         self.pending.append(i)
 
@@ -757,11 +714,8 @@ def sweep_runs(
     max_steps: int = 20_000,
     batch_delivery: bool = False,
     convergence: str = "incremental",
-    workers: int = 1,
-    backend: str | None = None,
     memo: "ConvergenceMemo | bool | None" = None,
     run_cache=None,
-    pool=None,
     engine: "SweepEngine | None" = None,
     faults=None,
 ) -> list[RunObservation]:
@@ -775,9 +729,8 @@ def sweep_runs(
     new ones are folded back, warming later runs; verdicts (and hence
     observations) are unaffected.
 
-    *engine* (a :class:`SweepEngine`) selects the executor outright;
-    otherwise one is resolved from the legacy *pool* / *workers* /
-    *backend* knobs (see :func:`resolve_engine`).  *run_cache* (a
+    *engine* (a :class:`SweepEngine`) is the executor; ``None`` runs
+    the grid in-process, serially.  *run_cache* (a
     :class:`~repro.net.runcache.RunCache`, or ``True`` for the one
     hung off the transducer) short-circuits grid cells whose
     :class:`~repro.net.run.RunResult` is already known — each cell is
@@ -793,6 +746,18 @@ def sweep_runs(
     keys are bit-identical to what they were before the fault plane
     existed.
     """
+    return _sweep(
+        network, transducer, partitions, seeds, max_steps, batch_delivery,
+        convergence, memo, run_cache, engine, faults,
+    ).results
+
+
+def _sweep(
+    network, transducer, partitions, seeds, max_steps, batch_delivery,
+    convergence, memo, run_cache, engine, faults,
+) -> CacheSplice:
+    """:func:`sweep_runs`, returning the filled splice: its ``results``
+    are the observations, its counters this sweep's own cache lookups."""
     from .runcache import resolve_run_cache, run_key, transducer_fingerprint
 
     memo = resolve_memo(memo, transducer)
@@ -831,9 +796,8 @@ def sweep_runs(
     )
     pending_tasks = splice.pending_tasks
 
-    eng = resolve_engine(engine=engine, pool=pool, workers=workers, backend=backend)
     cache_deltas: list[dict] = []
-    if not (eng.parallel and len(pending_tasks) > 1):
+    if engine is None or not (engine.parallel and len(pending_tasks) > 1):
         # In-process execution (including the nothing-to-fan-out case):
         # the tracker records straight into the parent memo — runs warm
         # each other directly, nothing to merge.  _run_task_mp must not
@@ -848,7 +812,7 @@ def sweep_runs(
         # computes stops re-missing in its siblings' later tasks.
         view = cache.worker_view() if cache is not None else None
         context = (network, transducer, memo, run_kwargs, view, fingerprint)
-        outcomes = eng.map(_run_task_mp, context, pending_tasks)
+        outcomes = engine.map(_run_task_mp, context, pending_tasks)
         fresh = []
         for observation, delta, hits, misses, cache_delta, shared_hit in outcomes:
             fresh.append(observation)
@@ -860,10 +824,10 @@ def sweep_runs(
                     cache.bump("shared_hits")
                 if cache_delta:
                     cache_deltas.append(cache_delta)
-    results = splice.fill(fresh, store=lambda obs: obs.result)
+    splice.fill(fresh, store=lambda obs: obs.result)
     # After fill (which records every pending result anyway) the worker
     # deltas are mostly overlap; merging them keeps the LRU recency and
     # the bound exact without double-recording (existing entries win).
     for cache_delta in cache_deltas:
         cache.merge_worker_delta(cache_delta)
-    return results
+    return splice

@@ -1,18 +1,14 @@
-"""The HTTP shell: stdlib asyncio server, optional FastAPI adapter.
+"""The HTTP shell: a stdlib asyncio server.
 
-The service must boot on a bare CPython install — CI and the e2e
-tests run the asyncio server below, a deliberately small HTTP/1.1
-implementation (request line + headers + Content-Length body, one
-request per connection).  When FastAPI/uvicorn happen to be
-installed, :func:`create_fastapi_app` exposes the identical routes on
-that stack instead; both shells call the same handlers in
-:mod:`~repro.service.routes`, so the API cannot fork.
+The service must boot on a bare CPython install, so it is a
+deliberately small HTTP/1.1 implementation (request line + headers +
+Content-Length body, one request per connection).  The handlers live
+in :mod:`~repro.service.routes`, free of any HTTP framework.
 """
 
 from __future__ import annotations
 
 import asyncio
-import importlib.util
 import json
 import threading
 from dataclasses import dataclass
@@ -277,71 +273,19 @@ class ServiceThread:
     def stop(self) -> None:
         loop, thread = self._loop, self._thread
         if loop is not None and thread is not None:
-            for task in asyncio.all_tasks(loop):
-                loop.call_soon_threadsafe(task.cancel)
+            # One hop into the loop thread cancels every task there: a
+            # cancel per task from this thread raced the loop closing
+            # once the first cancel ended ``serve_forever``.
+            def _cancel_all():
+                for task in asyncio.all_tasks(loop):
+                    task.cancel()
+
+            if not loop.is_closed():
+                loop.call_soon_threadsafe(_cancel_all)
             thread.join(10.0)
         self.service.close()
 
 
 def create_app(config: ServiceConfig | None = None) -> VerificationService:
-    """The stdlib service (always available)."""
+    """The verification service for *config*."""
     return VerificationService(config)
-
-
-def fastapi_available() -> bool:
-    return importlib.util.find_spec("fastapi") is not None
-
-
-def create_fastapi_app(config: ServiceConfig | None = None):
-    """The same routes on FastAPI, when it is installed.
-
-    Returns a FastAPI ``app`` suitable for any ASGI server.  The
-    stdlib shell above remains the reference implementation; this
-    adapter exists for deployments that want the FastAPI ecosystem
-    (OpenAPI docs, middleware) and costs nothing when the import is
-    absent.
-    """
-    if not fastapi_available():  # pragma: no cover — CI image has no fastapi
-        raise RuntimeError(
-            "FastAPI is not installed; use create_app() — the stdlib "
-            "asyncio server exposes the identical API"
-        )
-    # pragma: no cover start — exercised only where fastapi exists
-    from fastapi import FastAPI, Request
-    from fastapi.responses import JSONResponse, PlainTextResponse
-
-    service = VerificationService(config)
-    orch = service.orchestrator
-    app = FastAPI(title="repro verification service")
-    app.state.service = service
-
-    @app.post("/jobs")
-    async def _submit(request: Request):
-        payload = await request.json()
-        status, body = await asyncio.to_thread(routes.submit_job, orch, payload)
-        return JSONResponse(body, status_code=status)
-
-    @app.get("/jobs")
-    async def _list():
-        status, body = routes.list_jobs(orch)
-        return JSONResponse(body, status_code=status)
-
-    @app.get("/jobs/{job_id}")
-    async def _get(job_id: str):
-        status, body = routes.get_job(orch, job_id)
-        return JSONResponse(body, status_code=status)
-
-    @app.get("/metrics")
-    async def _metrics(format: str = "json"):
-        status, snap = routes.get_metrics(orch)
-        if format == "text":
-            return PlainTextResponse(render_text(snap), status_code=status)
-        return JSONResponse(snap, status_code=status)
-
-    @app.get("/healthz")
-    async def _healthz():
-        status, body = routes.healthz(orch)
-        return JSONResponse(body, status_code=status)
-
-    return app
-    # pragma: no cover end

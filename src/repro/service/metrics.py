@@ -44,15 +44,20 @@ class Histogram:
         self.overflow += 1
 
     def quantile(self, q: float) -> float | None:
-        """Bucket-upper-bound estimate of the *q*-quantile."""
+        """Estimate of the *q*-quantile: linear inside its bucket,
+        clamped to the observed ``[min, max]``."""
         if self.count == 0:
             return None
         target = q * self.count
         seen = 0
-        for i, bound in enumerate(LATENCY_BUCKETS):
-            seen += self.counts[i]
-            if seen >= target:
-                return bound
+        lower = 0.0
+        for n, upper in zip(self.counts + [self.overflow],
+                            LATENCY_BUCKETS + (self.max,)):
+            if n and seen + n >= target:
+                estimate = lower + (upper - lower) * (target - seen) / n
+                return min(max(estimate, self.min), self.max)
+            seen += n
+            lower = upper
         return self.max
 
     def to_json(self) -> dict:

@@ -296,23 +296,27 @@ class JobOrchestrator:
                 job.add_event("static analysis skipped (unsupported shape)")
             result = self._execute(request, job)
             job.result = result_to_json(request.kind, result)
+        except Exception as exc:  # noqa: BLE001 — job failure is data
+            job.error = f"{type(exc).__name__}: {exc}"
+        finally:
             job.finished_at = time.time()
+            # Leave the in-flight map before the terminal status is
+            # published: a client that sees the job finished and
+            # re-submits it must get a fresh run, not this job.
+            with self._lock:
+                if self._active.get(job.fingerprint) == job.id:
+                    del self._active[job.fingerprint]
+        if job.error is None:
             self._set_status(job, DONE)
             job.add_event("finished")
             self.metrics.observe(request.kind, job.duration)
             self.metrics.count("jobs_completed")
-        except Exception as exc:  # noqa: BLE001 — job failure is data
-            job.error = f"{type(exc).__name__}: {exc}"
-            job.finished_at = time.time()
+        else:
             self._set_status(job, FAILED)
             job.add_event(f"failed: {job.error}")
             self.metrics.count("jobs_failed")
-        finally:
-            with self._lock:
-                if self._active.get(job.fingerprint) == job.id:
-                    del self._active[job.fingerprint]
-            if self._store is not None:
-                self._store.put(job)
+        if self._store is not None:
+            self._store.put(job)
 
     def _execute(self, request: JobRequest, job: Job):
         """Dispatch one request to its harness on the shared runtime."""

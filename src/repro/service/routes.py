@@ -1,10 +1,9 @@
 """Framework-agnostic request handlers.
 
 Each handler takes the orchestrator plus parsed inputs and returns
-``(status_code, body_dict)`` — the stdlib asyncio app and the FastAPI
-adapter are thin shells over these, so the API surface cannot drift
-between the two.  Event streaming is the one exception: the transports
-differ, so apps drive :meth:`Job.wait_events` themselves.
+``(status_code, body_dict)``; the asyncio app in :mod:`.app` is a thin
+shell over these.  Event streaming is the one exception: the app
+drives :meth:`Job.wait_events` itself.
 """
 
 from __future__ import annotations

@@ -13,7 +13,7 @@ from repro.dedalus import (
     run_program,
     sweep_distributed,
 )
-from repro.net import full_replication, line, ring, round_robin
+from repro.net import SweepEngine, full_replication, line, ring, round_robin
 
 S2 = schema(S=2)
 
@@ -176,8 +176,9 @@ class TestDistributedSweep:
         )
         swept = sweep_distributed(
             prog, net, partitions, seeds=(0, 1), max_steps=300,
-            workers=workers,
-            backend="multiprocessing" if workers > 1 else None,
+            engine=SweepEngine(
+                workers=workers, lifetime="fork" if workers > 1 else None
+            ),
         )
         assert len(swept) == len(serial) == 4
         for a, b in zip(serial, swept):

@@ -9,9 +9,9 @@ from repro.lang import (
     check_monotone_empirical,
     check_monotone_pair,
     find_monotonicity_counterexample,
-    is_monotone_syntactic,
     random_instance,
 )
+from repro.analysis.static import analyze_query
 import random
 
 
@@ -20,28 +20,24 @@ def s2():
     return schema(S=2)
 
 
-def _shim_is_monotone(q):
-    """The deprecated free function: still correct, and still warning."""
-    with pytest.warns(
-        DeprecationWarning, match="is_monotone_syntactic is deprecated"
-    ):
-        return is_monotone_syntactic(q)
+def _certified_monotone(q):
+    return analyze_query(q).certifies("monotone")
 
 
 class TestSyntacticCertificates:
     def test_positive_fo_certified(self, s2):
         q = FOQuery.parse("S(x, y) | (exists z: S(x, z) & S(z, y))", "x, y", s2)
-        assert _shim_is_monotone(q)
+        assert _certified_monotone(q)
 
     def test_negative_fo_not_certified(self, s2):
         q = FOQuery.parse("S(x, y) & ~S(y, x)", "x, y", s2)
-        assert not _shim_is_monotone(q)
+        assert not _certified_monotone(q)
 
     def test_datalog_certified(self, s2):
         q = DatalogQuery.parse(
             "T(x, y) :- S(x, y). T(x, y) :- S(x, z), T(z, y).", "T", s2
         )
-        assert _shim_is_monotone(q)
+        assert _certified_monotone(q)
 
 
 class TestPairCheck:

@@ -8,7 +8,7 @@ canonical partition digests and trace compression):
   computes (the run is a pure function of its key), for workers ∈
   {1, 2};
 * **pool reuse determinism** — two back-to-back sweeps through one
-  persistent :class:`~repro.net.runcache.SweepPool` are
+  ``persistent``-lifetime :class:`~repro.net.SweepEngine` are
   observation-for-observation identical to the serial sweeps;
 * **fingerprint soundness** — structurally identical transducers share
   a canonical fingerprint (what makes persisted entries reusable
@@ -38,7 +38,7 @@ from repro.lang.query import PythonQuery
 from repro.net import (
     ConvergenceMemo,
     RunCache,
-    SweepPool,
+    SweepEngine,
     check_consistency,
     check_coordination_free_on,
     computed_output,
@@ -56,7 +56,6 @@ from repro.net.runcache import (
     run_key,
     shared_run_cache,
 )
-from repro.net.sweep import SweepExecutor, SweepSession
 
 S2 = schema(S=2)
 S1 = schema(S=1)
@@ -289,13 +288,13 @@ class TestRunCacheDeterminism:
         cache = RunCache()
         first = sweep_runs(
             network, TC, partitions, (seed, seed + 1),
-            workers=workers, run_cache=cache,
+            engine=SweepEngine(workers=workers), run_cache=cache,
         )
         assert first == fresh
         hits0, dedup0 = cache.cache_hits, cache.cache_dedup
         second = sweep_runs(
             network, TC, partitions, (seed, seed + 1),
-            workers=workers, run_cache=cache,
+            engine=SweepEngine(workers=workers), run_cache=cache,
         )
         assert second == fresh  # bit-identical observations off the cache
         # Every cell is served without executing: distinct cells hit the
@@ -370,15 +369,15 @@ class TestRunCacheDeterminism:
     def test_calm_verdict_with_cache_and_pool_matches_plain(self):
         plain = calm_verdict(transitive_closure_transducer(), GRAPH)
         cache = RunCache()
-        with _deprecated_pool(2) as pool:
+        with _persistent(2) as pool:
             cached = calm_verdict(
                 transitive_closure_transducer(), GRAPH,
-                run_cache=cache, pool=pool,
+                run_cache=cache, engine=pool,
             )
             assert cache.cache_misses > 0
             rerun = calm_verdict(
                 transitive_closure_transducer(), GRAPH,
-                run_cache=cache, pool=pool,
+                run_cache=cache, engine=pool,
             )
         assert cached == plain
         assert rerun == plain
@@ -390,28 +389,22 @@ class TestRunCacheDeterminism:
 
 
 
-def _deprecated_pool(workers):
-    """Construct the SweepPool shim, asserting the deprecation fires."""
-    with pytest.warns(DeprecationWarning, match="SweepPool is deprecated"):
-        return SweepPool(workers=workers)
+def _persistent(workers):
+    """A persistent-lifetime engine; one worker means serial."""
+    return SweepEngine(
+        workers=workers, lifetime="persistent" if workers > 1 else "serial"
+    )
 
 
-def _deprecated_session(workers, fn, ctx):
-    """Construct the SweepSession-over-SweepExecutor shim pair; both
-    constructors warn."""
-    with pytest.warns(DeprecationWarning, match="deprecated"):
-        return SweepSession(SweepExecutor(workers=workers), fn, ctx)
-
-
-class TestSweepPool:
+class TestPersistentEngine:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_back_to_back_sweeps_match_serial(self, workers):
         partitions = sample_partitions(GRAPH, line(3), 3)
         serial_a = sweep_runs(line(3), TC, partitions, (0, 1))
         serial_b = sweep_runs(line(3), TC, partitions, (2, 3))
-        with _deprecated_pool(workers) as pool:
-            pooled_a = sweep_runs(line(3), TC, partitions, (0, 1), pool=pool)
-            pooled_b = sweep_runs(line(3), TC, partitions, (2, 3), pool=pool)
+        with _persistent(workers) as pool:
+            pooled_a = sweep_runs(line(3), TC, partitions, (0, 1), engine=pool)
+            pooled_b = sweep_runs(line(3), TC, partitions, (2, 3), engine=pool)
             if pool.parallel:
                 assert pool.maps_served == 2  # one fork, two sweeps
         assert pooled_a == serial_a
@@ -423,9 +416,9 @@ class TestSweepPool:
         inst, network, seed = case
         partitions = sample_partitions(inst, network, 3)
         serial = sweep_runs(network, TC, partitions, (seed, seed + 1))
-        with _deprecated_pool(workers) as pool:
+        with _persistent(workers) as pool:
             pooled = sweep_runs(
-                network, TC, partitions, (seed, seed + 1), pool=pool
+                network, TC, partitions, (seed, seed + 1), engine=pool
             )
         assert pooled == serial
 
@@ -434,13 +427,13 @@ class TestSweepPool:
         baseline = ConvergenceMemo()
         sweep_runs(line(3), TC, partitions, (0, 1), memo=baseline)
         memo = ConvergenceMemo()
-        with _deprecated_pool(2) as pool:
-            sweep_runs(line(3), TC, partitions, (0, 1), memo=memo, pool=pool)
+        with _persistent(2) as pool:
+            sweep_runs(line(3), TC, partitions, (0, 1), memo=memo, engine=pool)
         assert len(memo) == len(baseline)
         assert memo._new is None  # journal never enabled in-parent
 
     def test_map_preserves_order_and_reuses_pool(self):
-        with _deprecated_pool(2) as pool:
+        with _persistent(2) as pool:
             for _ in range(3):
                 out = pool.map(_double, "ctx", list(range(7)))
                 assert out == [("ctx", i * 2) for i in range(7)]
@@ -448,18 +441,18 @@ class TestSweepPool:
                 assert pool.maps_served == 3
 
     def test_single_item_map_runs_in_process(self):
-        with _deprecated_pool(2) as pool:
+        with _persistent(2) as pool:
             assert pool.map(_double, "c", [3]) == [("c", 6)]
             assert pool.maps_served == 0  # no fan-out for one item
 
     def test_workers_one_is_serial(self):
-        pool = _deprecated_pool(1)
+        pool = _persistent(1)
         assert not pool.parallel
         assert pool.map(_double, "c", [1, 2]) == [("c", 2), ("c", 4)]
         pool.close()  # no-op, never forked
 
     def test_close_is_idempotent(self):
-        pool = _deprecated_pool(2)
+        pool = _persistent(2)
         pool.map(_double, "c", [1, 2, 3])
         pool.close()
         pool.close()
@@ -491,7 +484,7 @@ class _FakePool:
 
 class TestShutdownDiscipline:
     def test_session_clean_exit_closes_not_terminates(self):
-        session = _deprecated_session(2, _double, "ctx")
+        session = SweepEngine(workers=2).session(_double, "ctx")
         fake = _FakePool()
         session._pool = fake
         with session:
@@ -499,7 +492,7 @@ class TestShutdownDiscipline:
         assert fake.calls == ["close", "join"]
 
     def test_session_exceptional_exit_terminates(self):
-        session = _deprecated_session(2, _double, "ctx")
+        session = SweepEngine(workers=2).session(_double, "ctx")
         fake = _FakePool()
         session._pool = fake
         with pytest.raises(RuntimeError):
@@ -508,7 +501,7 @@ class TestShutdownDiscipline:
         assert fake.calls == ["terminate", "join"]
 
     def test_pool_clean_exit_closes_not_terminates(self):
-        pool = _deprecated_pool(2)
+        pool = _persistent(2)
         fake = _FakePool()
         pool._pool = fake
         with pool:
@@ -516,7 +509,7 @@ class TestShutdownDiscipline:
         assert fake.calls == ["close", "join"]
 
     def test_pool_exceptional_exit_terminates(self):
-        pool = _deprecated_pool(2)
+        pool = _persistent(2)
         fake = _FakePool()
         pool._pool = fake
         with pytest.raises(RuntimeError):
@@ -690,11 +683,11 @@ class TestRunCacheLRUBound:
         for _ in range(2):
             reference = sweep_runs(
                 network, TC, partitions, seeds,
-                run_cache=unbounded, workers=workers,
+                run_cache=unbounded, engine=SweepEngine(workers=workers),
             )
             churned = sweep_runs(
                 network, TC, partitions, seeds,
-                run_cache=bounded, workers=workers,
+                run_cache=bounded, engine=SweepEngine(workers=workers),
             )
             assert churned == reference
             assert len(bounded) <= 2
@@ -1112,14 +1105,14 @@ class TestRunCacheByteBound:
         unbounded = RunCache()
         reference = sweep_runs(
             network, TC, partitions, seeds,
-            run_cache=unbounded, workers=workers,
+            run_cache=unbounded, engine=SweepEngine(workers=workers),
         )
         budget = max(1, unbounded.bytes // 2)  # guarantees churn
         bounded = RunCache(max_bytes=budget)
         for _ in range(2):
             churned = sweep_runs(
                 network, TC, partitions, seeds,
-                run_cache=bounded, workers=workers,
+                run_cache=bounded, engine=SweepEngine(workers=workers),
             )
             assert churned == reference
             assert bounded.bytes <= budget
@@ -1357,7 +1350,7 @@ class TestWorkerSharedTier:
         cache = RunCache()
         obs = sweep_runs(
             line(3), TC, partitions, (0, 1),
-            run_cache=cache, workers=workers,
+            run_cache=cache, engine=SweepEngine(workers=workers),
         )
         distinct = len({
             (partition_digest(p), s)
@@ -1369,7 +1362,7 @@ class TestWorkerSharedTier:
         assert cache.cache_misses == distinct
         warm = sweep_runs(
             line(3), TC, partitions, (0, 1),
-            run_cache=cache, workers=workers,
+            run_cache=cache, engine=SweepEngine(workers=workers),
         )
         assert warm == obs
         assert cache.cache_misses == distinct  # no new misses warm
@@ -1464,7 +1457,7 @@ class TestCacheDamageDegradation:
         try:
             got = sweep_runs(
                 line(3), TC, partitions, (0, 1),
-                run_cache=cache, workers=2,
+                run_cache=cache, engine=SweepEngine(workers=2),
             )
             assert got == reference
         finally:

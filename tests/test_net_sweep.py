@@ -30,7 +30,6 @@ from repro.net import (
     ConvergenceMemo,
     ConvergenceTracker,
     SweepEngine,
-    SweepExecutor,
     check_consistency,
     check_coordination_free_on,
     computed_output,
@@ -46,7 +45,7 @@ from repro.net import (
     star,
     sweep_runs,
 )
-from repro.net.sweep import resolve_memo
+from repro.net.convergence import resolve_memo
 
 S2 = schema(S=2)
 S1 = schema(S=1)
@@ -113,36 +112,7 @@ class TestSweepEngine:
             ]
 
 
-class TestDeprecatedShims:
-    def test_sweep_executor_is_an_engine_shim(self):
-        with pytest.warns(DeprecationWarning, match="SweepExecutor"):
-            executor = SweepExecutor(workers=1)
-        assert isinstance(executor, SweepEngine)
-        assert executor.backend == "serial"
-        with pytest.warns(DeprecationWarning):
-            assert SweepExecutor(workers=4, backend="serial").backend == "serial"
-
-    def test_sweep_executor_keeps_explicit_backend_strictness(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError, match="workers=1"):
-                SweepExecutor(workers=1, backend="multiprocessing")
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError):
-                SweepExecutor(workers=2, backend="threads")
-
-    def test_sweep_pool_is_an_engine_shim(self):
-        from repro.net import SweepPool
-
-        with pytest.warns(DeprecationWarning, match="SweepPool"):
-            pool = SweepPool(workers=2)
-        assert isinstance(pool, SweepEngine)
-        assert pool.lifetime == "persistent"
-        pool.close()
-        # the shim keeps the historical workers=1 leniency
-        with pytest.warns(DeprecationWarning):
-            serial = SweepPool(workers=1)
-        assert serial.lifetime == "serial" and not serial.parallel
-
+class TestResolveMemo:
     def test_resolve_memo(self):
         td = relay_identity_transducer()
         assert resolve_memo(None, td) is None
@@ -183,7 +153,7 @@ class TestConvergenceMemo:
         assert len(memo) == 2  # entries keep everything
 
     def test_single_task_mp_sweep_keeps_parent_memo_clean(self):
-        # Regression: a one-task sweep under the multiprocessing backend
+        # Regression: a one-task sweep through a fork-lifetime engine
         # must take the in-process path with the *serial* bookkeeping —
         # the worker-side journal/counter shipping would double-count
         # on the shared memo and leave its journal enabled forever.
@@ -193,7 +163,7 @@ class TestConvergenceMemo:
         memo = ConvergenceMemo()
         sweep_runs(
             line(2), TC, [partition], (0,),
-            workers=2, backend="multiprocessing", memo=memo,
+            engine=SweepEngine(workers=2, lifetime="fork"), memo=memo,
         )
         assert memo._new is None  # journal never enabled in-parent
         assert (memo.memo_hits, memo.memo_misses) == (
@@ -226,8 +196,9 @@ class TestParallelSweepDeterminism:
         serial = sweep_runs(network, TC, partitions, (seed, seed + 1))
         parallel = sweep_runs(
             network, TC, partitions, (seed, seed + 1),
-            workers=workers,
-            backend="multiprocessing" if workers > 1 else None,
+            engine=SweepEngine(
+                workers=workers, lifetime="fork" if workers > 1 else None
+            ),
         )
         assert serial == parallel  # observation-for-observation
 
@@ -240,7 +211,7 @@ class TestParallelSweepDeterminism:
         memo = ConvergenceMemo()
         parallel = sweep_runs(
             network, TC, partitions, (seed,),
-            workers=workers, backend="multiprocessing", memo=memo,
+            engine=SweepEngine(workers=workers, lifetime="fork"), memo=memo,
         )
         assert serial == parallel
 
@@ -249,7 +220,7 @@ class TestParallelSweepDeterminism:
                                    seeds=(0, 1))
         parallel = check_consistency(
             line(3), TC, GRAPH, partition_count=3, seeds=(0, 1),
-            workers=2, backend="multiprocessing", memo=True,
+            engine=SweepEngine(workers=2, lifetime="fork"), memo=True,
         )
         assert serial.consistent == parallel.consistent
         assert serial.outputs == parallel.outputs
@@ -262,7 +233,7 @@ class TestParallelSweepDeterminism:
         )
         parallel = check_coordination_free_on(
             line(2), RELAY, ELEMENTS, expected,
-            workers=2, backend="multiprocessing",
+            engine=SweepEngine(workers=2, lifetime="fork"),
         )
         assert serial.coordination_free == parallel.coordination_free
         assert serial.partitions_tried == parallel.partitions_tried

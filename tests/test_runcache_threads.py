@@ -20,6 +20,9 @@ import threading
 import pytest
 
 import repro.net.runcache as runcache_mod
+from repro.core import transitive_closure_transducer
+from repro.db import Fact, Instance, schema
+from repro.net import check_consistency, line
 from repro.net.runcache import RunCache, runtime_token
 
 
@@ -125,6 +128,41 @@ class TestCacheHammer:
         self._hammer(cache)
         assert len(cache.entries) <= 8
         assert cache.bytes == sum(cache._weights.values())
+
+
+class TestPerSweepCacheCounts:
+    """A consistency report counts its own sweep's cache lookups.
+
+    Deltas of the shared cache's counters would also count whatever
+    overlapping sweeps looked up in the meantime, so two concurrent
+    jobs on one cache each reported more lookups than cells.
+    """
+
+    def test_overlapping_sweeps_count_only_their_own_cells(self):
+        graph = Instance(
+            schema(S=2), [Fact("S", (1, 2)), Fact("S", (2, 3)), Fact("S", (3, 1))]
+        )
+        cache = RunCache()
+        reports = []
+
+        def work(idx: int):
+            for round_no in range(3):
+                reports.append(check_consistency(
+                    line(2), transitive_closure_transducer(), graph,
+                    partition_count=2, seeds=(round_no, round_no + 1),
+                    run_cache=cache,
+                ))
+
+        _run_threads(2, work)
+        assert len(reports) == 6
+        for report in reports:
+            assert report.cache_hits + report.cache_misses + report.cache_dedup == (
+                len(report.observations)
+            )
+        # The per-report counts partition the cache's own ledger.
+        assert sum(
+            r.cache_hits + r.cache_misses + r.cache_dedup for r in reports
+        ) == cache.cache_hits + cache.cache_misses + cache.cache_dedup
 
 
 class TestDiskTierThreads:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import os
+import time
 import urllib.error
 import urllib.request
 
@@ -24,7 +25,9 @@ import pytest
 from repro.core import build_transducer
 from repro.db import schema
 from repro.lang import PythonQuery
+from repro.service import JobOrchestrator
 from repro.service.app import ServiceConfig, ServiceThread
+from repro.service.metrics import Histogram
 
 #: The pytest process; the saboteur only fires in forked workers.
 _PARENT_PID = os.getpid()
@@ -314,6 +317,52 @@ class TestAllKindsOverHttp:
         assert [[1, 2], [1, 3], [2, 3]] in job.result["distinct_outputs"]
         # Program jobs are linted as programs, not transducers.
         assert job.static_report["kind"] == "stratified-program"
+
+
+class TestResubmitAfterFinish:
+    def test_resubmission_right_after_done_reruns(self, monkeypatch):
+        # The fingerprint leaves the in-flight map before `done` is
+        # published; slowing the post-`done` bookkeeping widens the
+        # window in which an attached re-submission used to land.
+        orch = JobOrchestrator(max_workers=1)
+        observe = orch.metrics.observe
+
+        def slow_observe(kind, seconds):
+            time.sleep(0.05)
+            observe(kind, seconds)
+
+        monkeypatch.setattr(orch.metrics, "observe", slow_observe)
+        try:
+            payload = _payload(seeds=[0], partition_count=1)
+            first, created = orch.submit(payload)
+            assert created
+            assert orch.wait(first.id, timeout=240).status == "done"
+            second, created = orch.submit(payload)
+            assert created is True
+            assert second.id != first.id
+            assert orch.wait(second.id, timeout=240).status == "done"
+        finally:
+            orch.close()
+
+
+class TestLatencyHistogram:
+    def test_quantiles_interpolate_within_observed_range(self):
+        hist = Histogram()
+        for _ in range(20):
+            hist.observe(0.35)
+        # The 0.35 s observations sit in the (0.1, 0.5] bucket; the
+        # estimate must not report the bucket's upper bound.
+        assert hist.quantile(0.5) == 0.35
+        assert hist.quantile(0.95) == 0.35
+
+    def test_quantiles_are_monotone_and_bounded(self):
+        hist = Histogram()
+        for seconds in (0.002, 0.003, 0.2, 0.4, 70.0):
+            hist.observe(seconds)
+        qs = [hist.quantile(q) for q in (0.0, 0.2, 0.5, 0.9, 1.0)]
+        assert qs == sorted(qs)
+        assert qs[0] == 0.002 and qs[-1] == 70.0
+        assert Histogram().quantile(0.5) is None
 
 
 class TestWorkerDeathMidJob:

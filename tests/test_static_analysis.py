@@ -434,17 +434,6 @@ class TestReporting:
 
 
 class TestDeprecation:
-    def test_free_function_warns_and_delegates(self):
-        from repro.lang.monotone import is_monotone_syntactic
-
-        q = UCQQuery.parse("Ans(x) :- T(x).", ST)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert is_monotone_syntactic(q) is True
-        assert any(
-            issubclass(w.category, DeprecationWarning) for w in caught
-        )
-
     def test_method_shims_do_not_warn(self):
         q = UCQQuery.parse("Ans(x) :- T(x).", ST)
         with warnings.catch_warnings(record=True) as caught:
