@@ -32,7 +32,13 @@ from conftest import once, write_snapshot
 
 from repro.core import transitive_closure_transducer
 from repro.db import instance, schema
-from repro.net import FaultPlan, SweepEngine, check_consistency, line
+from repro.net import (
+    FaultPlan,
+    RunOptions,
+    SweepEngine,
+    check_consistency,
+    line,
+)
 
 S2 = schema(S=2)
 CHAIN_FACTS = 20
@@ -101,7 +107,8 @@ def test_e27_fault_plane(benchmark, report):
             t_clean = min(t_clean, time.perf_counter() - t0)
             t0 = time.perf_counter()
             wrapped = check_consistency(
-                net, transducer, chain, faults=noop, **kwargs
+                net, transducer, chain, options=RunOptions(faults=noop),
+                **kwargs,
             )
             t_noop = min(t_noop, time.perf_counter() - t0)
             ok &= _signature(wrapped.observations) == _signature(
@@ -128,7 +135,7 @@ def test_e27_fault_plane(benchmark, report):
         for label, plan in GRID:
             t0 = time.perf_counter()
             faulty = check_consistency(
-                net, transducer, chain, faults=plan,
+                net, transducer, chain, options=RunOptions(faults=plan),
                 engine=SweepEngine(workers=GRID_WORKERS), **kwargs,
             )
             seconds = time.perf_counter() - t0

@@ -27,6 +27,7 @@ from ..lang.query import Query
 from ..net.consistency import computed_output
 from ..net.coordination import check_coordination_free_on
 from ..net.network import Network, line
+from ..net.run import RunOptions
 
 if TYPE_CHECKING:
     from .static.diagnostics import StaticReport
@@ -46,19 +47,18 @@ class ComputedQuery(Query):
         transducer: Transducer,
         network: Network | None = None,
         seed: int = 0,
-        max_steps: int = 20_000,
-        batch_delivery: bool = False,
-        convergence: str = "incremental",
+        options: RunOptions = RunOptions(),
         memo=None,
         run_cache=None,
-        faults=None,
     ):
         self.transducer = transducer
         self.network = network if network is not None else line(2)
         self.seed = seed
-        self.max_steps = max_steps
-        self.batch_delivery = batch_delivery
-        self.convergence = convergence
+        # The reference run's options; a fault plan here makes the
+        # reference run tolerate the injected faults, which is exactly
+        # the claim the fault-plane property suite exercises on
+        # CALM-positive transducers.
+        self.options = options
         # Cross-run convergence memo: the monotonicity probes evaluate
         # this query on dozens of instances of the same transducer, so
         # certificates proven in one evaluation warm the next.
@@ -67,10 +67,6 @@ class ComputedQuery(Query):
         # (CALM re-derives Q(I) per probe, CI re-derives it per job)
         # skip the reference run entirely.
         self.run_cache = run_cache
-        # Optional seeded fault plan: the reference run tolerates the
-        # injected faults, which is exactly the claim the fault-plane
-        # property suite exercises on CALM-positive transducers.
-        self.faults = faults
         self.arity = transducer.schema.output_arity
         self.input_schema = transducer.schema.inputs
 
@@ -83,12 +79,9 @@ class ComputedQuery(Query):
             self.transducer,
             instance,
             seed=self.seed,
-            max_steps=self.max_steps,
-            batch_delivery=self.batch_delivery,
-            convergence=self.convergence,
+            options=self.options,
             memo=self.memo,
             run_cache=self.run_cache,
-            faults=self.faults,
         )
 
     def __repr__(self) -> str:
@@ -165,11 +158,10 @@ def calm_verdict(
     monotonicity_trials: int = 30,
     check_coordination: bool = True,
     seed: int = 0,
-    batch_delivery: bool = False,
+    options: RunOptions = RunOptions(),
     memo=None,
     run_cache=None,
     engine=None,
-    faults=None,
     static_first: bool = False,
 ) -> CalmVerdict:
     """Assemble the full CALM diagnostic for one transducer.
@@ -179,9 +171,11 @@ def calm_verdict(
     empty instance is the hard case for queries like emptiness, whose
     answer on nonempty inputs is trivially reachable without messages).
 
-    *batch_delivery* runs the reference fair runs in batched-delivery
-    mode — only legal (and only meaningful) for oblivious, monotone,
-    inflationary transducers, where CALM guarantees the same computed query.
+    *options* (a :class:`~repro.net.run.RunOptions`) applies to every
+    fair run the diagnostic performs: the reference evaluations and the
+    NTI probes alike.  Batched delivery is only legal (and only
+    meaningful) for oblivious, monotone, inflationary transducers,
+    where CALM guarantees the same computed query.
 
     *engine* (a :class:`~repro.net.executor.SweepEngine`; ``None`` runs
     serially in-process) executes the run sweeps underneath
@@ -195,11 +189,11 @@ def calm_verdict(
     through one live fork pool.  All verdicts
     are identical with or without any of these knobs.
 
-    *faults* (a :class:`~repro.net.faults.FaultPlan`) subjects the
-    reference evaluations and the NTI probes to the plan's injected
-    faults.  The coordination probes stay *clean* deliberately: they
-    drive heartbeat-only schedules whose verdict semantics (cycle
-    detection over message-free runs) a fault plan would distort.
+    A fault plan in *options* subjects the reference evaluations and
+    the NTI probes to the plan's injected faults.  The coordination
+    probes stay *clean* deliberately: they drive heartbeat-only
+    schedules whose verdict semantics (cycle detection over
+    message-free runs) a fault plan would distort.
 
     *static_first* consults the static analyzer before sweeping.  The
     NTI probe always runs empirically (there is no sound static NTI
@@ -223,8 +217,8 @@ def calm_verdict(
     memo = resolve_memo(memo, transducer)
     run_cache = resolve_run_cache(run_cache, transducer)
     query = ComputedQuery(
-        transducer, network, seed=seed, batch_delivery=batch_delivery,
-        memo=memo, run_cache=run_cache, faults=faults,
+        transducer, network, seed=seed, options=options,
+        memo=memo, run_cache=run_cache,
     )
 
     static_report: StaticReport | None = None
@@ -244,10 +238,10 @@ def calm_verdict(
         networks=[single(), network],
         partition_count=2,
         seeds=(seed,),
+        options=options,
         memo=memo,
         run_cache=run_cache,
         engine=engine,
-        faults=faults,
     )
     # Static certificates only discharge probes when their NTI premise
     # holds and the run is clean (a fault plan changes what the
@@ -255,7 +249,7 @@ def calm_verdict(
     static_ok = (
         static_report is not None
         and nti_report.independent
-        and faults is None
+        and options.faults is None
     )
 
     coordination_free: bool | None = None

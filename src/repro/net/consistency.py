@@ -21,7 +21,7 @@ from ..db.instance import Instance
 from ..core.transducer import Transducer
 from .network import Network, single, standard_topologies
 from .partition import HorizontalPartition, sample_partitions
-from .run import RunResult, run_fair
+from .run import RunOptions, RunResult, run_fair
 
 
 @dataclass
@@ -116,21 +116,21 @@ def observe_runs(
     partitions: list[HorizontalPartition] | None = None,
     partition_count: int = 5,
     seeds: tuple[int, ...] = (0, 1, 2),
-    max_steps: int = 20_000,
-    batch_delivery: bool = False,
-    convergence: str = "incremental",
+    options: RunOptions = RunOptions(),
     memo=None,
     run_cache=None,
     engine=None,
-    faults=None,
 ) -> list[RunObservation]:
     """Run (N, Π) on several partitions × schedules and record outputs.
 
-    *batch_delivery* and *convergence* are forwarded to
-    :func:`~repro.net.run.run_fair` — consistency quantifies over fair
-    runs, and batched runs of batchable (oblivious, monotone,
-    inflationary) transducers are fair
-    runs too, so sampling them strengthens the evidence.
+    *options* (a :class:`~repro.net.run.RunOptions`) is forwarded to
+    every :func:`~repro.net.run.run_fair` — consistency quantifies over
+    fair runs, and batched runs of batchable (oblivious, monotone,
+    inflationary) transducers are fair runs too, so sampling them
+    strengthens the evidence.  A fault plan in *options* subjects every
+    run to the same seeded faults — a faulty run is still a
+    deterministic function of ``(plan, seed, scheduler)``, so the
+    returned observations stay reproducible bit-for-bit.
 
     *engine* (a :class:`~repro.net.executor.SweepEngine`; ``None``
     runs serially in-process) executes the sweep: runs are
@@ -144,10 +144,7 @@ def observe_runs(
     whole runs already known to the
     :class:`~repro.net.runcache.RunCache`, and a ``persistent``-lifetime
     *engine* reuses one live fork pool across consecutive sweeps; both
-    also leave every observation unchanged.  *faults* (a :class:`~repro.net.faults.FaultPlan`)
-    subjects every run to the same seeded fault plan — a faulty run is
-    still a deterministic function of ``(plan, seed, scheduler)``, so
-    the returned observations stay reproducible bit-for-bit.
+    also leave every observation unchanged.
     """
     from .executor import sweep_runs
 
@@ -158,13 +155,10 @@ def observe_runs(
         transducer,
         partitions,
         seeds,
-        max_steps=max_steps,
-        batch_delivery=batch_delivery,
-        convergence=convergence,
+        options,
         memo=memo,
         run_cache=run_cache,
         engine=engine,
-        faults=faults,
     )
 
 
@@ -175,13 +169,10 @@ def check_consistency(
     partitions: list[HorizontalPartition] | None = None,
     partition_count: int = 5,
     seeds: tuple[int, ...] = (0, 1, 2),
-    max_steps: int = 20_000,
-    batch_delivery: bool = False,
-    convergence: str = "incremental",
+    options: RunOptions = RunOptions(),
     memo=None,
     run_cache=None,
     engine=None,
-    faults=None,
 ) -> ConsistencyReport:
     """Empirical consistency check of (N, Π) on one instance.
 
@@ -191,9 +182,9 @@ def check_consistency(
     underlying sweep (see :func:`observe_runs`) without changing the
     report's evidence; memo and run-cache effectiveness are surfaced on
     the report.  The cache counts are this sweep's own lookups, even
-    when other sweeps share the cache.  *faults* injects a seeded
-    :class:`~repro.net.faults.FaultPlan` into every run; the aggregate
-    fault counters are surfaced on the report.
+    when other sweeps share the cache.  A fault plan in *options*
+    injects seeded faults into every run; the aggregate fault counters
+    are surfaced on the report.
     """
     from .convergence import resolve_memo
     from .executor import _sweep
@@ -205,8 +196,7 @@ def check_consistency(
     if partitions is None:
         partitions = sample_partitions(instance, network, partition_count)
     splice = _sweep(
-        network, transducer, partitions, seeds, max_steps, batch_delivery,
-        convergence, memo, run_cache, engine, faults,
+        network, transducer, partitions, seeds, options, memo, run_cache, engine,
     )
     observations = splice.results
     outputs = [obs.result.output for obs in observations]
@@ -242,37 +232,29 @@ def computed_output(
     transducer: Transducer,
     instance: Instance,
     seed: int = 0,
-    max_steps: int = 20_000,
-    batch_delivery: bool = False,
-    convergence: str = "incremental",
+    options: RunOptions = RunOptions(),
     memo=None,
     run_cache=None,
-    faults=None,
 ) -> frozenset:
     """The output of one canonical fair run (full replication, given seed).
 
     For a consistent network this *is* the computed query's answer.
+    *options* are the run's :class:`~repro.net.run.RunOptions`.
     *memo* shares convergence certificates with other runs of the same
     transducer (the CALM monotonicity probes call this in a loop);
     *run_cache* skips the run entirely when this exact cell was
-    executed before — it shares keys with :func:`sweep_runs`, so a
-    consistency sweep can warm the CALM reference evaluation and vice
-    versa.
+    executed before — it shares keys with :func:`sweep_runs` (same
+    ``options``, same key), so a consistency sweep can warm the CALM
+    reference evaluation and vice versa.
     """
     from .convergence import resolve_memo
     from .runcache import resolve_run_cache, run_key, transducer_fingerprint
 
     cache = resolve_run_cache(run_cache, transducer)
     partitions = sample_partitions(instance, network, 1)
+    run_kwargs = options.as_kwargs()
     key = None
     if cache is not None:
-        run_kwargs = {
-            "max_steps": max_steps,
-            "batch_delivery": batch_delivery,
-            "convergence": convergence,
-        }
-        if faults is not None:
-            run_kwargs["faults"] = faults
         key = run_key(
             "fair-random",
             network,
@@ -289,11 +271,8 @@ def computed_output(
         transducer,
         partitions[0],
         seed=seed,
-        max_steps=max_steps,
-        batch_delivery=batch_delivery,
-        convergence=convergence,
         memo=resolve_memo(memo, transducer),
-        faults=faults,
+        **run_kwargs,
     )
     if cache is not None:
         cache.record(key, result)
@@ -322,11 +301,10 @@ def check_topology_independence(
     networks: list[Network] | None = None,
     partition_count: int = 3,
     seeds: tuple[int, ...] = (0, 1),
-    max_steps: int = 20_000,
+    options: RunOptions = RunOptions(),
     memo=None,
     run_cache=None,
     engine=None,
-    faults=None,
 ) -> TopologyIndependenceReport:
     """Empirically check network-topology independence on one instance.
 
@@ -340,7 +318,7 @@ def check_topology_independence(
     The same holds for *run_cache* (the network is part of the cache
     key) and a persistent *engine* — one live pool serves every
     per-network sweep, which is the fork-amortization this probe grid
-    exists for.
+    exists for.  *options* applies to every per-network sweep alike.
     """
     from .convergence import resolve_memo
     from .runcache import resolve_run_cache
@@ -360,11 +338,10 @@ def check_topology_independence(
             instance,
             partition_count=partition_count,
             seeds=seeds,
-            max_steps=max_steps,
+            options=options,
             memo=memo,
             run_cache=run_cache,
             engine=engine,
-            faults=faults,
         )
         if not report.consistent:
             inconsistent.append(network.name)

@@ -54,7 +54,7 @@ from .consistency import RunObservation
 from .convergence import ConvergenceMemo, resolve_memo
 from .network import Network
 from .partition import HorizontalPartition
-from .run import run_fair
+from .run import RunOptions, run_fair
 
 __all__ = [
     "CacheSplice",
@@ -711,13 +711,10 @@ def sweep_runs(
     transducer,
     partitions: list[HorizontalPartition],
     seeds: tuple[int, ...],
-    max_steps: int = 20_000,
-    batch_delivery: bool = False,
-    convergence: str = "incremental",
+    options: RunOptions = RunOptions(),
     memo: "ConvergenceMemo | bool | None" = None,
     run_cache=None,
     engine: "SweepEngine | None" = None,
-    faults=None,
 ) -> list[RunObservation]:
     """Run the partitions × seeds grid of fair runs, possibly in parallel.
 
@@ -735,26 +732,22 @@ def sweep_runs(
     hung off the transducer) short-circuits grid cells whose
     :class:`~repro.net.run.RunResult` is already known — each cell is
     a pure function of ``(network, transducer, partition, seed,
-    kwargs)``, so a cached result is bit-identical to a fresh one, and
+    options)``, so a cached result is bit-identical to a fresh one, and
     only the uncached cells are executed (the :class:`CacheSplice`
     bookkeeping).
 
-    *faults* (a :class:`~repro.net.faults.FaultPlan`) injects the same
-    seeded fault plan into every run of the grid.  The plan becomes
-    part of the frozen run kwargs — and hence of every cache key — so
-    faulty and clean sweeps never share cells, while a clean sweep's
-    keys are bit-identical to what they were before the fault plane
-    existed.
+    *options* (a :class:`~repro.net.run.RunOptions`) applies to every
+    run of the grid and enters every cache key, so sweeps that differ
+    in any option — a fault plan, batching, the step budget — never
+    share cells.
     """
     return _sweep(
-        network, transducer, partitions, seeds, max_steps, batch_delivery,
-        convergence, memo, run_cache, engine, faults,
+        network, transducer, partitions, seeds, options, memo, run_cache, engine,
     ).results
 
 
 def _sweep(
-    network, transducer, partitions, seeds, max_steps, batch_delivery,
-    convergence, memo, run_cache, engine, faults,
+    network, transducer, partitions, seeds, options, memo, run_cache, engine,
 ) -> CacheSplice:
     """:func:`sweep_runs`, returning the filled splice: its ``results``
     are the observations, its counters this sweep's own cache lookups."""
@@ -762,17 +755,7 @@ def _sweep(
 
     memo = resolve_memo(memo, transducer)
     cache = resolve_run_cache(run_cache, transducer)
-    run_kwargs = {
-        "max_steps": max_steps,
-        "batch_delivery": batch_delivery,
-        "convergence": convergence,
-    }
-    if faults is not None:
-        # Only present when set: clean-run cache keys are unchanged
-        # from before the fault plane existed, and a faulty cell can
-        # never alias a clean one (the plan rides in the frozen
-        # run_kwargs, through run_key and into run_fair alike).
-        run_kwargs["faults"] = faults
+    run_kwargs = options.as_kwargs()
     tasks = [(partition, seed) for partition in partitions for seed in seeds]
 
     if cache is not None:

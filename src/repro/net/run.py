@@ -55,6 +55,7 @@ from .transition import GlobalTransition, deliver, deliver_batch, heartbeat
 
 __all__ = [
     "RunContext",
+    "RunOptions",
     "RunResult",
     "RunStats",
     "is_converged",
@@ -318,6 +319,36 @@ def run_schedule(
         trace=trace,
         scheduler=scheduler.name,
     )
+
+
+@dataclass(frozen=True)
+class RunOptions:
+    """The knobs that change a seeded fair run's result.
+
+    A seeded run is a pure function of ``(network, transducer,
+    partition, seed, options)``, and the run cache keys on exactly that
+    tuple, so every sweep harness takes one ``options`` value instead
+    of copying these fields across its signature.  Knobs that change
+    speed but never results (``memo``, ``run_cache``, ``engine``) stay
+    separate arguments and out of the key.
+    """
+
+    max_steps: int = 20_000
+    batch_delivery: bool = False
+    faults: FaultPlan | None = None
+
+    def as_kwargs(self) -> dict:
+        """The :func:`run_fair` keywords, which double as the
+        ``run_key`` kwargs.  ``faults`` is present only when a plan is
+        set, so a faulty cell never aliases a clean one and clean keys
+        carry no plan at all."""
+        kwargs = {
+            "max_steps": self.max_steps,
+            "batch_delivery": self.batch_delivery,
+        }
+        if self.faults is not None:
+            kwargs["faults"] = self.faults
+        return kwargs
 
 
 def run_fair(

@@ -346,9 +346,7 @@ class JobOrchestrator:
                     request.instance,
                     partition_count=request.partition_count,
                     seeds=request.seeds,
-                    max_steps=request.max_steps,
-                    batch_delivery=request.batch_delivery,
-                    faults=request.faults,
+                    options=request.options,
                     **kwargs,
                 )
             if request.kind == "topology-independence":
@@ -357,8 +355,7 @@ class JobOrchestrator:
                     request.instance,
                     partition_count=request.partition_count,
                     seeds=request.seeds,
-                    max_steps=request.max_steps,
-                    faults=request.faults,
+                    options=request.options,
                     **kwargs,
                 )
             if request.kind == "coordination-free":
@@ -367,8 +364,7 @@ class JobOrchestrator:
                     request.transducer,
                     request.instance,
                     seed=request.seeds[0],
-                    max_steps=request.max_steps,
-                    batch_delivery=request.batch_delivery,
+                    options=request.options,
                     run_cache=self.cache,
                 )
                 job.add_event("reference output computed")
@@ -385,8 +381,7 @@ class JobOrchestrator:
                     request.instance,
                     network=request.network,
                     seed=request.seeds[0],
-                    batch_delivery=request.batch_delivery,
-                    faults=request.faults,
+                    options=request.options,
                     static_first=request.static_first,
                     **kwargs,
                 )

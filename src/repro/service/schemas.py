@@ -22,6 +22,7 @@ from ..net import (
     FaultPlan,
     Network,
     NetworkError,
+    RunOptions,
     clique,
     grid,
     instance_digest,
@@ -45,7 +46,6 @@ KINDS = (
 #: Sweep grid defaults, matching the harness signatures.
 DEFAULT_SEEDS = (0, 1, 2)
 DEFAULT_PARTITIONS = 3
-DEFAULT_MAX_STEPS = 20_000
 
 #: Schedulers a job may request.  The harnesses quantify over fair
 #: runs: ``fair-random`` is the reference sampler and
@@ -219,9 +219,9 @@ class JobRequest:
     instance: Instance
     seeds: tuple
     partition_count: int
-    max_steps: int
-    batch_delivery: bool
-    faults: FaultPlan | None
+    #: The run knobs (``max_steps``, ``batch_delivery``, ``faults``),
+    #: handed unchanged to every kind's harness.
+    options: RunOptions
     static_first: bool
     #: The object the static analyzer lints (program when the job came
     #: in as text, else the transducer).
@@ -235,11 +235,15 @@ class JobRequest:
             "network": self.network.name,
             "seeds": list(self.seeds),
             "partition_count": self.partition_count,
-            "max_steps": self.max_steps,
-            "batch_delivery": self.batch_delivery,
-            "faults": self.faults.token() if self.faults is not None else None,
+            "max_steps": self.options.max_steps,
+            "batch_delivery": self.options.batch_delivery,
+            "faults": _faults_token(self.options.faults),
             "static_first": self.static_first,
         }
+
+
+def _faults_token(faults: FaultPlan | None) -> str | None:
+    return faults.token() if faults is not None else None
 
 
 def _network_token(network: Network) -> str:
@@ -266,9 +270,9 @@ def job_fingerprint(req: JobRequest) -> str:
         instance_digest(req.instance),
         repr(tuple(req.seeds)),
         str(req.partition_count),
-        str(req.max_steps),
-        str(req.batch_delivery),
-        req.faults.token() if req.faults is not None else "-",
+        str(req.options.max_steps),
+        str(req.options.batch_delivery),
+        _faults_token(req.options.faults) or "-",
         str(req.static_first),
     ):
         digest.update(token.encode())
@@ -295,7 +299,7 @@ def parse_job(payload) -> JobRequest:
         raise SpecError("field 'seeds' must be a non-empty list of ints")
     partition_count = _require(payload, "partition_count", int,
                                DEFAULT_PARTITIONS)
-    max_steps = _require(payload, "max_steps", int, DEFAULT_MAX_STEPS)
+    max_steps = _require(payload, "max_steps", int, RunOptions.max_steps)
     if partition_count < 1 or max_steps < 1:
         raise SpecError("'partition_count' and 'max_steps' must be >= 1")
 
@@ -336,9 +340,7 @@ def parse_job(payload) -> JobRequest:
         instance=instance,
         seeds=tuple(seeds),
         partition_count=partition_count,
-        max_steps=max_steps,
-        batch_delivery=batch_delivery,
-        faults=faults,
+        options=RunOptions(max_steps, batch_delivery, faults),
         static_first=static_first,
         lint_subject=lint_subject,
     )

@@ -8,6 +8,7 @@ from repro.core import (
     transitive_closure_transducer,
 )
 from repro.db import Instance, instance, schema
+from repro.net import RunCache, RunOptions
 
 
 class TestComputedQuery:
@@ -60,6 +61,22 @@ class TestCalmVerdicts:
         assert not verdict.coordination_free
         assert verdict.computed_query_monotone  # Theorem 16
         assert verdict.consistent_with_calm()
+
+    def test_options_reach_every_fair_run(self):
+        # The NTI probe runs under the same options as the reference
+        # evaluations: no cell of a batched diagnostic runs unbatched.
+        I = instance(schema(S=2), S=[(1, 2), (2, 3)])
+        cache = RunCache()
+        verdict = calm_verdict(
+            transitive_closure_transducer(), I, monotonicity_trials=10,
+            options=RunOptions(batch_delivery=True), run_cache=cache,
+        )
+        assert verdict.coordination_free and verdict.topology_independent
+        cells = [
+            dict(key[5]) for key in cache.entries if key[0] == "fair-random"
+        ]
+        assert cells
+        assert all(kw["batch_delivery"] is True for kw in cells)
 
     def test_consistency_logic(self):
         bad = CalmVerdict(

@@ -24,7 +24,8 @@ Also pinned here, per the executor-fusion acceptance criteria:
   sweep routes through the one shared
   :class:`~repro.net.executor.CacheSplice` helper;
 * ``engine=`` is the one executor argument of every sweep entry
-  point;
+  point, and ``options=`` (a ``RunOptions``) the one carrier of the
+  run knobs of every fair-run entry point;
 * early-exiting a partially consumed probe search (witness found with
   candidates still unprobed) still drains and joins the worker pool —
   the leak-detection tests count live children before and after.
@@ -49,6 +50,7 @@ from repro.net import (
     LIFETIMES,
     FaultPlan,
     RunCache,
+    RunOptions,
     SweepEngine,
     check_consistency,
     check_coordination_free_on,
@@ -266,13 +268,14 @@ class TestFaultColumn:
     """
 
     PLAN = FaultPlan(seed=7, loss=0.1, duplication=0.15, delay=0.2)
+    OPTIONS = RunOptions(faults=PLAN)
 
     @pytest.fixture(scope="class")
     def faulty_grid(self):
         partitions = sample_partitions(GRAPH, line(3), 3)
         seeds = (0, 1)
         reference = sweep_runs(
-            line(3), TC, partitions, seeds, faults=self.PLAN
+            line(3), TC, partitions, seeds, options=self.OPTIONS
         )
         return partitions, seeds, reference
 
@@ -291,7 +294,7 @@ class TestFaultColumn:
             cache = RunCache(**kwargs)
             if cache_mode.startswith("warm"):
                 sweep_runs(line(3), TC, partitions, seeds,
-                           run_cache=cache, faults=self.PLAN)
+                           run_cache=cache, options=self.OPTIONS)
         try:
             got = _run_config(
                 make_engine,
@@ -300,7 +303,7 @@ class TestFaultColumn:
                 partitions=partitions,
                 seeds=seeds,
                 run_cache=cache,
-                faults=self.PLAN,
+                options=self.OPTIONS,
             )
             assert got == reference  # observation for observation
             # the plan really disturbed the schedules
@@ -322,7 +325,7 @@ class TestFaultColumn:
         cache = RunCache()
         clean = sweep_runs(line(3), TC, partitions, seeds, run_cache=cache)
         faulty = sweep_runs(
-            line(3), TC, partitions, seeds, run_cache=cache, faults=self.PLAN
+            line(3), TC, partitions, seeds, run_cache=cache, options=self.OPTIONS
         )
         # every faulty cell missed: no clean cell was ever served for it
         assert cache.cache_misses == 2 * cells
@@ -332,7 +335,7 @@ class TestFaultColumn:
             line(3), TC, partitions, seeds, run_cache=cache
         ) == clean
         assert sweep_runs(
-            line(3), TC, partitions, seeds, run_cache=cache, faults=self.PLAN
+            line(3), TC, partitions, seeds, run_cache=cache, options=self.OPTIONS
         ) == faulty
         assert cache.cache_misses == 2 * cells
 
@@ -340,11 +343,11 @@ class TestFaultColumn:
         partitions = sample_partitions(GRAPH, line(3), 3)
         reference = check_consistency(
             line(3), TC, GRAPH, partitions=partitions, seeds=(0, 1),
-            faults=self.PLAN,
+            options=self.OPTIONS,
         )
         got = check_consistency(
             line(3), TC, GRAPH, partitions=partitions, seeds=(0, 1),
-            faults=self.PLAN, engine=SweepEngine(workers=2),
+            options=self.OPTIONS, engine=SweepEngine(workers=2),
         )
         assert got.consistent == reference.consistent
         assert got.outputs == reference.outputs
@@ -593,6 +596,28 @@ class TestFusionStructure:
             params = inspect.signature(fn).parameters
             assert params["engine"].default is None, fn.__name__
             assert not {"workers", "backend", "pool"} & set(params), fn.__name__
+
+    def test_options_is_the_only_run_knob(self):
+        # The knobs that change a fair run's result travel as one
+        # RunOptions value; no entry point can drop one of them.
+        from repro.analysis import ComputedQuery
+        from repro.net import (
+            check_topology_independence,
+            consistency,
+            executor,
+            observe_runs,
+        )
+
+        knobs = {"max_steps", "batch_delivery", "convergence", "faults"}
+        for fn in (
+            sweep_runs, observe_runs, check_consistency, computed_output,
+            check_topology_independence, calm_verdict, ComputedQuery.__init__,
+        ):
+            params = inspect.signature(fn).parameters
+            assert "options" in params, fn.__qualname__
+            assert not knobs & set(params), fn.__qualname__
+        for module in (executor, consistency):
+            assert '"batch_delivery":' not in inspect.getsource(module)
 
     def test_single_shared_splice_helper(self):
         # The three hand-rolled cached/pending merge loops are gone:

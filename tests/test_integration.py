@@ -19,6 +19,7 @@ from repro.db import Instance, instance, schema
 from repro.lang import DatalogProgram, DatalogQuery, FOQuery
 from repro.lang.monotone import instance_pairs
 from repro.net import (
+    RunOptions,
     check_consistency,
     check_coordination_free_on,
     check_topology_independence,
@@ -30,6 +31,9 @@ from repro.net import (
     single,
     star,
 )
+
+#: A longer step budget for the coordination-heavy collect-then-apply runs.
+LONG = RunOptions(max_steps=100_000)
 
 
 class TestTheorem12Empirically:
@@ -98,8 +102,8 @@ class TestTheorem61NonMonotoneNeedsCoordination:
         net = line(2)
         empty = Instance.empty(s1)
         nonempty = instance(s1, S=[(1,)])
-        assert computed_output(net, t, empty, max_steps=100_000) == frozenset({()})
-        assert computed_output(net, t, nonempty, max_steps=100_000) == frozenset()
+        assert computed_output(net, t, empty, options=LONG) == frozenset({()})
+        assert computed_output(net, t, nonempty, options=LONG) == frozenset()
         # and it relies on coordination: no heartbeat-only partition works
         report = check_coordination_free_on(
             net, t, empty, frozenset({()})
@@ -112,8 +116,7 @@ class TestTheorem61NonMonotoneNeedsCoordination:
         t = collect_then_apply_transducer(q)
         I = instance(s1, S=[(1,)])
         report = check_consistency(
-            line(2), t, I, partition_count=3, seeds=(0, 1),
-            max_steps=100_000,
+            line(2), t, I, partition_count=3, seeds=(0, 1), options=LONG,
         )
         assert report.consistent
 

@@ -32,6 +32,7 @@ from repro.db import Fact, Instance, schema
 from repro.net import (
     FaultPlan,
     FaultyScheduler,
+    RunOptions,
     SweepEngine,
     check_consistency,
     computed_output,
@@ -78,6 +79,7 @@ MIXED = FaultPlan(
     seed=11, loss=0.15, duplication=0.2, delay=0.25, crash=0.02,
     partition_rate=0.02,
 )
+MIXED_RUNS = RunOptions(faults=MIXED)
 
 
 def _signature(result):
@@ -232,9 +234,10 @@ class TestDeterministicFaultReplay:
         seeds = tuple(sorted(seeds))
         net = line(3)
         parts = [round_robin(GRAPH, net)]
-        serial = sweep_runs(net, TC, parts, seeds, faults=MIXED)
+        serial = sweep_runs(net, TC, parts, seeds, options=MIXED_RUNS)
         forked = sweep_runs(
-            net, TC, parts, seeds, faults=MIXED, engine=SweepEngine(workers=2)
+            net, TC, parts, seeds, options=MIXED_RUNS,
+            engine=SweepEngine(workers=2),
         )
         assert [_signature(o.result) for o in serial] == [
             _signature(o.result) for o in forked
@@ -271,14 +274,14 @@ class TestCalmUnderFaults:
         clean = check_consistency(net, td, inst, partition_count=2,
                                   seeds=(0, 1))
         faulty = check_consistency(net, td, inst, partition_count=2,
-                                   seeds=(0, 1), faults=plan)
+                                   seeds=(0, 1), options=RunOptions(faults=plan))
         assert faulty.consistent
         assert set(faulty.outputs) == set(clean.outputs)
         assert faulty.unconverged == 0
 
     def test_calm_verdict_survives_dup_delay(self):
         verdict = calm_verdict(TC, GRAPH, monotonicity_trials=4,
-                               faults=self.DUP_DELAY[0])
+                               options=RunOptions(faults=self.DUP_DELAY[0]))
         assert verdict.topology_independent
         assert verdict.consistent_with_calm()
 
@@ -297,9 +300,11 @@ class TestFaultCacheIsolation:
         net = line(3)
         p = round_robin(GRAPH, net)
         clean = sweep_runs(net, TC, [p], (0,), run_cache=cache)
-        faulty = sweep_runs(net, TC, [p], (0,), run_cache=cache, faults=MIXED)
+        faulty = sweep_runs(net, TC, [p], (0,), run_cache=cache,
+                            options=MIXED_RUNS)
         assert cache.cache_misses == 2  # distinct cells, no alias
-        again = sweep_runs(net, TC, [p], (0,), run_cache=cache, faults=MIXED)
+        again = sweep_runs(net, TC, [p], (0,), run_cache=cache,
+                           options=MIXED_RUNS)
         assert cache.cache_hits == 1
         assert _signature(again[0].result) == _signature(faulty[0].result)
         assert _signature(clean[0].result) != _signature(faulty[0].result) or (
@@ -308,16 +313,16 @@ class TestFaultCacheIsolation:
 
     def test_plan_has_a_disk_key_rendering(self):
         key = run_key("fair-random", line(2), "abc", "hp:000", 0,
-                      {"max_steps": 10, "faults": MIXED})
+                      RunOptions(max_steps=10, faults=MIXED).as_kwargs())
         text = _disk_key_text(key)
         assert text is not None and MIXED.token() in text
         other = run_key("fair-random", line(2), "abc", "hp:000", 0,
-                        {"max_steps": 10})
+                        RunOptions(max_steps=10).as_kwargs())
         assert _disk_key_text(other) != text
 
     def test_report_aggregates_fault_counters(self):
         report = check_consistency(line(3), TC, GRAPH, partition_count=2,
-                                   seeds=(0, 1), faults=MIXED)
+                                   seeds=(0, 1), options=MIXED_RUNS)
         totals = report.fault_counts()
         per_run = [o.result.stats.fault_counts() for o in report.observations]
         for name in totals:

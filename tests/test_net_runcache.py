@@ -38,6 +38,7 @@ from repro.lang.query import PythonQuery
 from repro.net import (
     ConvergenceMemo,
     RunCache,
+    RunOptions,
     SweepEngine,
     check_consistency,
     check_coordination_free_on,
@@ -1320,11 +1321,7 @@ class TestWorkerSharedTier:
 
         network = line(2)
         partition = sample_partitions(GRAPH, network, 1)[0]
-        run_kwargs = {
-            "max_steps": 20_000,
-            "batch_delivery": False,
-            "convergence": "incremental",
-        }
+        run_kwargs = RunOptions().as_kwargs()
         fp = transducer_fingerprint(TC)
         cache = RunCache()
         view = cache.worker_view()

@@ -448,3 +448,104 @@ class TestRestartWarmFromDiskTier:
 
 if __name__ == "__main__":  # pragma: no cover
     raise SystemExit(pytest.main([__file__, "-x", "-q"]))
+
+
+def _fair_random_kwargs(cache) -> list[dict]:
+    """The run kwargs of every ``fair-random`` cell in *cache*."""
+    return [dict(key[5]) for key in cache.entries if key[0] == "fair-random"]
+
+
+class TestRunOptionsReachEveryKind:
+    """Every kind runs with the knobs its request echoes back."""
+
+    def _run(self, payload: dict):
+        orch = JobOrchestrator(max_workers=1)
+        try:
+            job, _ = orch.submit(payload)
+            return orch.wait(job.id, timeout=240), orch.cache
+        finally:
+            orch.close()
+
+    def test_calm_verdict_keys_its_cells_at_the_requested_max_steps(self):
+        job, cache = self._run(_payload(
+            kind="calm-verdict", seeds=[0], instance={"S": [[1, 2], [2, 3]]},
+            max_steps=7,
+        ))
+        assert job.status == "done", job.error
+        assert job.request["max_steps"] == 7
+        cells = _fair_random_kwargs(cache)
+        assert cells
+        assert all(kw["max_steps"] == 7 for kw in cells)
+
+    @pytest.mark.parametrize("kind", ["consistency", "topology-independence"])
+    def test_batched_scheduler_is_gated_on_every_kind(self, kind):
+        job, _ = self._run(_payload(
+            kind=kind,
+            spec="repro.core.examples:emptiness_transducer",
+            instance={"S": [[1]]},
+            seeds=[0],
+            partition_count=2,
+            scheduler="round-robin-batch",
+        ))
+        assert job.request["batch_delivery"] is True
+        assert job.status == "failed"
+        assert job.error.startswith("BatchingError")
+
+
+class TestWireFormatPinned:
+    """The request echo and the dedup fingerprint of two payloads, as
+    recorded before the run knobs moved into ``RunOptions``: the HTTP
+    contract and the in-flight dedup identity are unchanged."""
+
+    FAULTY = {"seed": 9, "loss": 0.25, "duplication": 0.1}
+    PINS = [
+        (
+            {"scheduler": "round-robin-batch", "max_steps": 5000},
+            {
+                "kind": "consistency",
+                "transducer": "example3_transitive_closure",
+                "network": "line3",
+                "seeds": [0],
+                "partition_count": 1,
+                "max_steps": 5000,
+                "batch_delivery": True,
+                "faults": None,
+                "static_first": False,
+            },
+            "e5ca833fa0a065167555ff7ccda4780d25ec7dd5f498907a0e86c0af624ad017",
+        ),
+        (
+            {"max_steps": 7000, "faults": FAULTY},
+            {
+                "kind": "consistency",
+                "transducer": "example3_transitive_closure",
+                "network": "line3",
+                "seeds": [0],
+                "partition_count": 1,
+                "max_steps": 7000,
+                "batch_delivery": False,
+                "faults": (
+                    "fault-plan(seed=9,loss=0.25,link_loss=(),duplication=0.1,"
+                    "delay=0.0,max_delay=4,crash=0.0,restart_after=8,"
+                    "retain_state=True,max_crashes=2,partition_rate=0.0,"
+                    "heal_after=6,max_partitions=2)"
+                ),
+                "static_first": False,
+            },
+            "b9829433227d006ba21992d6dc83f9867fa5bfa78da1daadd2ce3566c82cf4b4",
+        ),
+    ]
+
+    @pytest.mark.parametrize("extra,request_json,fingerprint", PINS,
+                             ids=["clean", "faults"])
+    def test_request_and_fingerprint(self, extra, request_json, fingerprint):
+        orch = JobOrchestrator(max_workers=1)
+        try:
+            job, _ = orch.submit(_payload(seeds=[0], partition_count=1, **extra))
+            job = orch.wait(job.id, timeout=240)
+        finally:
+            orch.close()
+        assert job.status == "done", job.error
+        assert job.to_json()["request"] == request_json
+        assert list(job.to_json()["request"]) == list(request_json)
+        assert job.fingerprint == fingerprint

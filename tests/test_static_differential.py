@@ -197,13 +197,14 @@ class TestCorpus:
         assert v.sources["coordination_free"] == "empirical"
 
     def test_fault_plan_disables_static_shortcut(self):
-        from repro.net.faults import FaultPlan
+        from repro.net import FaultPlan, RunOptions
 
         t = ALL_EXAMPLES["example3"]()
         inst = Instance.from_dict(t.schema.inputs, _ZOO_INSTANCES["example3"])
         plan = FaultPlan(seed=3, duplication=0.2)
         v = calm_verdict(
-            t, inst, monotonicity_trials=4, static_first=True, faults=plan
+            t, inst, monotonicity_trials=4, static_first=True,
+            options=RunOptions(faults=plan),
         )
         assert v.sources["computed_query_monotone"] == "empirical"
 
