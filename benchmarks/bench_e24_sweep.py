@@ -49,7 +49,7 @@ WORKER_COUNTS = tuple(
 )
 REQUIRED_SPEEDUP = 2.5
 SNAPSHOT = pathlib.Path(__file__).with_name("BENCH_sweep.json")
-# A persisted RunCache bundle (the CI warm-start artifact, see E25):
+# A persisted RunCache file (the CI warm-start sqlite file, see E25):
 # when present, its convergence-memo snapshot pre-seeds the warming
 # sweep so CI jobs start warm across runs.  The cold measurement is
 # untouched — the bar stays honest.
@@ -57,17 +57,13 @@ WARMSTART = os.environ.get("REPRO_RUNCACHE")
 
 
 def _preseed_memo(transducer) -> None:
+    # Warm-starting is pure opportunism: a stale or corrupt file is
+    # purged by the cache itself (with a warning) and yields no memo.
     if not WARMSTART or not os.path.exists(WARMSTART):
         return
-    try:
-        saved = RunCache.load(WARMSTART)
-    except Exception:
-        # Warm-starting is pure opportunism: a truncated, cross-version
-        # or otherwise unreadable bundle means a cold start, never a
-        # failed bench (pickle alone can raise UnpicklingError,
-        # EOFError, AttributeError, ImportError ...).
-        return
+    saved = RunCache(disk_path=WARMSTART)
     memo = saved.memo_for(transducer)
+    saved.close()
     if memo is not None:
         transducer.convergence_memo = memo
 

@@ -6,9 +6,9 @@ consistency re-check, all replay ``(network, transducer, partition,
 seed, kwargs)`` tuples a previous harness already executed.  PR 4's
 :class:`~repro.net.runcache.RunCache` memoizes whole
 :class:`~repro.net.run.RunResult`s under those keys (guarded by a
-canonical transducer fingerprint), bundles the cross-run
+canonical transducer fingerprint), keeps the cross-run
 :class:`~repro.net.convergence.ConvergenceMemo` per fingerprint, and
-persists both to disk so CI jobs start warm.
+persists both to one sqlite file so CI jobs start warm.
 
 The measurement, a *cross-harness* pass on the E17 chain workload (the
 transitive-closure flooder): one consistency sweep plus the full CALM
@@ -16,44 +16,38 @@ diagnostic (coordination witness search, NTI probes, 30 monotonicity
 trials — every corner of the harness stack):
 
 1. **cold** — a fresh transducer, no cache, no memo;
-2. **recording** — a fresh transducer writing into a RunCache + memo
-   (the pass any earlier CI job or session would have run);
-3. **save / load** — the cache round-trips through the persistence
-   format, exactly as the CI artifact does;
+2. **recording** — a fresh transducer writing into a file-backed
+   RunCache + memo (the pass any earlier CI job or session would have
+   run);
+3. **close / reopen** — ``close()`` spills the cache into the sqlite
+   file and a new ``RunCache(disk_path=…)`` opens it, exactly as the
+   CI artifact is used;
 4. **warm** — a *third*, freshly built transducer served from the
-   loaded cache: fingerprint-keyed entries must hit across transducer
-   objects, which is what makes cross-process persistence sound.
+   reopened file: fingerprint-keyed entries must hit across
+   transducer objects, which is what makes cross-process persistence
+   sound.
 
 The bar: the warm pass must be ≥ 2× faster than the cold pass, with
 equal evidence — the consistency observations must be equal
 observation for observation (a cache hit reproduces the exact
-RunResult) and the CALM verdicts must match.  When
-``$REPRO_RUNCACHE`` names a persisted cache (the CI warm-start
-artifact), it is loaded and merged before the warm pass and the
-updated cache is saved back to it afterwards; ``$REPRO_RUNCACHE_MAX``
-makes that load take the *bounded* path (``RunCache.load(path,
-max_entries=N)``), which CI pins to exercise the LRU restore, and
-``$REPRO_RUNCACHE_BYTES`` does the same for the byte budget
-(``max_bytes=N``) — CI pins a generous budget so the warm pass stays
-all-hits while still exercising the weighted restore.
+RunResult) and the CALM verdicts must match.  ``$REPRO_RUNCACHE``
+names the sqlite file (default ``CACHE_runcache.sqlite``, the CI
+warm-start artifact); ``$REPRO_RUNCACHE_BYTES`` reopens it under a
+byte budget, which CI pins generously so the warm pass stays all-hits
+while exercising the weighted promotion path.
 
-Two **bounded-cache columns** ride along (``max_entries`` ∈ {64, 8}):
-the same warm pass through an LRU-bounded cache built from the loaded
-entries.  Eviction churn turns hits back into recomputation, so the
-bounded passes trade speed for memory — the bench asserts their
-*evidence* is still identical to the cold pass (eviction can cost
-time, never correctness) and reports the hit/miss/eviction counts; the
-speedup bar applies to the unbounded warm pass only.
-
-A **byte-budget column** repeats that through the byte-weighted LRU
-(``max_bytes`` = half the loaded working set, so churn is guaranteed),
-and a **disk-tier column** squeezes memory to an eighth of the working
-set with a sqlite tier below (``$REPRO_RUNCACHE_DISK``, default
-``CACHE_runcache.sqlite``): construction demotes the overflow to disk
-and the warm pass promotes it back, so *nothing recomputes* — the
-bench asserts zero misses with demotions and promotions both > 0,
-which is the hierarchy's whole pitch (eviction demotes, never
-discards).
+A **byte-budget column** repeats the warm pass through the
+byte-weighted LRU (``max_bytes`` = half the working set, so churn is
+guaranteed): eviction churn turns hits back into recomputation, so
+the bench asserts the *evidence* is still identical to the cold pass
+(eviction can cost time, never correctness) and reports the
+hit/miss/eviction counts.  A **disk-tier column** reopens the file
+with memory squeezed to an eighth of the working set: the warm pass
+promotes from disk and demotes the overflow back, so *nothing
+recomputes* — the bench asserts zero misses with demotions and
+promotions both > 0, which is the hierarchy's whole pitch (eviction
+demotes, never discards).  The speedup bar applies to the unbounded
+warm pass only.
 """
 
 import os
@@ -77,30 +71,16 @@ SNAPSHOT = pathlib.Path(__file__).with_name("BENCH_runcache.json")
 CACHE_PATH = pathlib.Path(
     os.environ.get(
         "REPRO_RUNCACHE",
-        pathlib.Path(__file__).with_name("CACHE_runcache.pkl"),
+        pathlib.Path(__file__).with_name("CACHE_runcache.sqlite"),
     )
 )
-# The bounded load path: when set (CI pins 1024), the warm-start
-# bundle is restored through RunCache.load(path, max_entries=N).
-CACHE_MAX = (
-    int(os.environ["REPRO_RUNCACHE_MAX"])
-    if os.environ.get("REPRO_RUNCACHE_MAX")
-    else None
-)
-# The byte-budget load path: when set (CI pins a generous 16 MiB), the
-# bundle is restored through RunCache.load(path, max_bytes=N).
+# The byte budget the file is reopened under (CI pins a generous
+# 16 MiB); unset reopens it unbounded.
 CACHE_BYTES = (
     int(os.environ["REPRO_RUNCACHE_BYTES"])
     if os.environ.get("REPRO_RUNCACHE_BYTES")
     else None
 )
-DISK_PATH = pathlib.Path(
-    os.environ.get(
-        "REPRO_RUNCACHE_DISK",
-        pathlib.Path(__file__).with_name("CACHE_runcache.sqlite"),
-    )
-)
-BOUNDED_COLUMNS = (64, 8)
 
 
 def _workload(transducer, run_cache=None, memo=None):
@@ -135,7 +115,10 @@ def test_e25_run_cache_warm_pass(benchmark, report):
         rows.append(["cold", f"{t_cold:.2f}s", "-", "-", "-"])
         snapshot.append({"pass": "cold", "seconds": round(t_cold, 3)})
 
-        cache = RunCache()
+        # Recording straight into the file-backed cache: a file left
+        # by an earlier run under this runtime pre-warms it, a stale
+        # one is purged at open (cold start, never a failed bench).
+        cache = RunCache(disk_path=CACHE_PATH)
         recorder = transitive_closure_transducer()
         t0 = time.perf_counter()
         rec_consistency, rec_verdict = _workload(
@@ -154,27 +137,13 @@ def test_e25_run_cache_warm_pass(benchmark, report):
             "cache_entries": len(cache),
         })
 
-        # Round-trip through the persistence format, exactly like the
-        # CI artifact; a pre-existing warm-start file is folded in
-        # (fresh entries win on overlap, and an unreadable or
-        # different-runtime bundle is simply ignored — cold start, not
-        # a failed bench).
-        if CACHE_PATH.exists():
-            try:
-                cache.merge(RunCache.load(CACHE_PATH))
-            except Exception:
-                pass
-        cache.save(CACHE_PATH)
-        load_kwargs = {}
-        if CACHE_MAX is not None:
-            load_kwargs["max_entries"] = CACHE_MAX
-        if CACHE_BYTES is not None:
-            load_kwargs["max_bytes"] = CACHE_BYTES
-        loaded = RunCache.load(CACHE_PATH, **load_kwargs)
-        if CACHE_MAX is not None:
-            ok &= loaded.max_entries == CACHE_MAX
-        if CACHE_BYTES is not None:
-            ok &= loaded.max_bytes == CACHE_BYTES
+        # Close / reopen: the spill writes every entry and the memo
+        # snapshot into the sqlite file; the reopened cache starts
+        # with cold memory and a warm file, exactly like the next CI
+        # job.
+        cache.close()
+        loaded = RunCache(max_bytes=CACHE_BYTES, disk_path=CACHE_PATH)
+        ok &= loaded.max_bytes == CACHE_BYTES
 
         warm_td = transitive_closure_transducer()
         warm_memo = loaded.memo_for(warm_td)
@@ -212,48 +181,16 @@ def test_e25_run_cache_warm_pass(benchmark, report):
             "observations_identical": identical,
         })
 
-        # Bounded-cache columns: the same warm pass through LRU-bounded
-        # caches.  Evicted cells recompute; evidence must not change.
-        for bound in BOUNDED_COLUMNS:
-            bounded = RunCache(
-                loaded.entries, loaded.memos, max_entries=bound
-            )
-            bounded_td = transitive_closure_transducer()
-            t0 = time.perf_counter()
-            b_consistency, b_verdict = _workload(
-                bounded_td, run_cache=bounded,
-                memo=loaded.memo_for(bounded_td),
-            )
-            t_bounded = time.perf_counter() - t0
-            b_identical = (
-                b_consistency.observations == cold_consistency.observations
-            )
-            ok &= b_identical
-            ok &= b_verdict == cold_verdict
-            ok &= len(bounded) <= bound
-            rows.append([
-                f"warm (max={bound})", f"{t_bounded:.2f}s",
-                f"{t_cold / max(t_bounded, 1e-9):.1f}x",
-                bounded.cache_misses, "yes" if b_identical else "NO",
-            ])
-            snapshot.append({
-                "pass": f"warm-bounded-{bound}",
-                "seconds": round(t_bounded, 3),
-                "speedup_vs_cold": round(t_cold / max(t_bounded, 1e-9), 2),
-                "max_entries": bound,
-                "cache_hits": bounded.cache_hits,
-                "cache_misses": bounded.cache_misses,
-                "evictions": bounded.evictions,
-                "observations_identical": b_identical,
-            })
+        # Everything the warm pass touched is back in memory; spill it
+        # and release the file for the disk-tier column below.
+        loaded.close()
 
         # Byte-budget column: the same warm pass through the
         # byte-weighted LRU at half the loaded working set — eviction
         # churn is guaranteed, the evidence must not change.
         byte_budget = max(loaded.bytes // 2, 1)
-        weighted = RunCache(
-            loaded.entries, loaded.memos, max_bytes=byte_budget
-        )
+        weighted = RunCache(max_bytes=byte_budget)
+        weighted.merge_worker_delta(loaded.entries)
         weighted_td = transitive_closure_transducer()
         t0 = time.perf_counter()
         w_consistency, w_verdict = _workload(
@@ -285,15 +222,12 @@ def test_e25_run_cache_warm_pass(benchmark, report):
             "observations_identical": w_identical,
         })
 
-        # Disk-tier column: memory squeezed to an eighth of the
-        # working set, sqlite tier below.  Construction demotes the
-        # overflow and the warm pass promotes it back — nothing
-        # recomputes, so zero misses despite the tight budget.
+        # Disk-tier column: the file reopened with memory squeezed to
+        # an eighth of the working set.  The warm pass promotes from
+        # disk and demotes the overflow back — nothing recomputes, so
+        # zero misses despite the tight budget.
         tight_budget = max(loaded.bytes // 8, 1)
-        tiered = RunCache(
-            loaded.entries, loaded.memos,
-            max_bytes=tight_budget, disk_path=DISK_PATH,
-        )
+        tiered = RunCache(max_bytes=tight_budget, disk_path=CACHE_PATH)
         tiered_td = transitive_closure_transducer()
         t0 = time.perf_counter()
         d_consistency, d_verdict = _workload(
@@ -330,8 +264,6 @@ def test_e25_run_cache_warm_pass(benchmark, report):
             "observations_identical": d_identical,
         })
 
-        loaded.merge(cache)
-        loaded.save(CACHE_PATH)
         write_snapshot(SNAPSHOT, {
             "experiment": "E25",
             "claim": "warm run-cache cross-harness pass (consistency + "

@@ -1,4 +1,4 @@
-"""Run-level result caching with an optional LRU bound.
+"""Run-level result caching with a byte bound and a sqlite tier.
 
 The semantic harnesses (consistency, NTI, coordination-freeness, CALM)
 quantify over *every* fair run, so they repeatedly execute the same
@@ -10,28 +10,25 @@ and a CI job re-runs yesterday's whole suite.  A seeded
 the same independence observation that made the PR 3 sweeps parallel
 also makes whole runs memoizable.
 
-:class:`RunCache` is a picklable store of finished run results keyed
-on ``(kind, network, transducer-fingerprint, partition-digest, seed,
+:class:`RunCache` is a store of finished run results keyed on
+``(kind, network, transducer-fingerprint, partition-digest, seed,
 run-kwargs)``.  :func:`repro.net.executor.sweep_runs` (and through it
 every checker) short-circuits cached cells with the stored result —
-property-tested bit-identical to a fresh run.  The cache also bundles
+property-tested bit-identical to a fresh run.  The cache also keeps
 :class:`~repro.net.convergence.ConvergenceMemo` snapshots per
-transducer fingerprint, so one :meth:`save` file warms both stores of
-a later session.  For long-running services the cache is a small
-storage *hierarchy*: ``max_entries=`` and ``max_bytes=`` turn the
-in-memory store into an LRU keyed by last hit (the transition cache's
-pattern — hits promote, inserts evict the stalest entry), where
-``max_bytes`` weighs each entry by its pickled size — the honest unit,
-since a heartbeat-probe frozenset and a traced ``RunResult`` differ by
-orders of magnitude; ``compress_traces=`` transparently compresses
-``keep_trace=True`` results, whose traces dominate the footprint; and
-``disk_path=`` adds a sqlite tier *below* the in-memory bound, so
-eviction demotes entries to disk instead of discarding them and a
-memory miss promotes them back.  Workers inside a parallel sweep get a
-read-mostly :meth:`RunCache.worker_view` whose fresh recordings travel
-back as deltas for the parent to merge (the same journal discipline
-the convergence memo uses).  The knobs survive
-:meth:`save`/:meth:`load` round-trips (bundle format v3), and an
+transducer fingerprint.  It is a small storage *hierarchy*:
+``max_bytes=`` turns the in-memory store into an LRU keyed by last hit
+(hits promote, inserts evict the stalest entry) that weighs each entry
+by its pickled size — the honest unit, since a heartbeat-probe
+frozenset and a traced ``RunResult`` differ by orders of magnitude —
+and ``disk_path=`` adds a sqlite tier *below* that bound, so eviction
+demotes entries to disk instead of discarding them and a memory miss
+promotes them back.  The sqlite file is the cache's only persistence:
+``close()`` spills the memory tier and the memo snapshots into it, and
+a later session warms up by opening the same file.  Workers inside a
+parallel sweep get a read-mostly :meth:`RunCache.worker_view` whose
+fresh recordings travel back as deltas for the parent to merge (the
+same journal discipline the convergence memo uses).  An
 evict-then-recompute cycle is property-tested bit-identical to an
 unbounded cache (results are pure functions of their keys, so an
 eviction costs time, never correctness).
@@ -42,16 +39,15 @@ one transducer must never be served to a different one.
 schema and every query (rules, formulas, arities), so two structurally
 identical transducers — e.g. ``transitive_closure_transducer()`` built
 in two different processes — share entries, which is exactly what lets
-CI start warm from a saved cache.  Query objects that cannot be
+CI start warm from a persisted cache.  Query objects that cannot be
 described canonically (closures, ad-hoc ``Query`` subclasses) fall
 back to a session-local fingerprint: caching still works within the
-process, and persisted entries are conservatively never matched by a
-later session (a silent wrong hit is impossible, a cold start is
-merely slow).  Partitions are keyed by :func:`partition_digest` —
-canonical sorted-fact digests — so differently-ordered but equal
-instances (the monotonicity probes regenerate theirs per diagnostic)
-land on the same cell, and keys stay compact strings instead of
-pinning whole partition object graphs in every persisted bundle.
+process, and such entries never reach the sqlite file (a silent wrong
+hit is impossible, a cold start is merely slow).  Partitions are keyed
+by :func:`partition_digest` — canonical sorted-fact digests — so
+differently-ordered but equal instances (the monotonicity probes
+regenerate theirs per diagnostic) land on the same cell, and keys stay
+compact strings instead of pinning whole partition object graphs.
 """
 
 from __future__ import annotations
@@ -65,7 +61,6 @@ import sqlite3
 import sys
 import threading
 import warnings
-import zlib
 
 from ..lang.query import EmptyQuery, FOQuery, PythonQuery, Query
 from ..lang.ucq import UCQNegQuery
@@ -86,7 +81,7 @@ __all__ = [
 ]
 
 _CACHE_FORMAT = "repro-runcache"
-_CACHE_VERSION = 3
+_CACHE_VERSION = 4
 
 _RUNTIME_TOKEN = None
 _RUNTIME_TOKEN_LOCK = threading.Lock()
@@ -98,10 +93,10 @@ def runtime_token() -> str:
     A ``RunResult`` is a pure function of its key *under one runtime*:
     change the scheduler's RNG draws, the delivery semantics, or the
     query evaluator, and the same key maps to a different result.
-    Persisted bundles therefore carry this token and :meth:`RunCache.load`
-    rejects files written by different code — a stale CI bundle after
-    any source change is discarded (cold start), never served.
-    In-memory caching is unaffected.
+    The sqlite tier therefore stamps its file with this token, and
+    :class:`_DiskTier` purges a file written by different code — a
+    stale CI cache after any source change is a cold start, never
+    served.  In-memory caching is unaffected.
 
     First-call initialization is double-checked under a lock: two
     service handler threads racing here used to both walk the source
@@ -358,10 +353,10 @@ def partition_digest(partition: HorizontalPartition) -> str:
     it identifies *which facts sit where* and nothing else — the
     partition's identity for run-cache purposes.  Using digests
     instead of the partition objects themselves keeps cache keys
-    compact (persisted bundles no longer pin whole partition object
-    graphs) and makes the cross-harness key-reuse canonical: the CALM
-    monotonicity probes regenerate their instances per diagnostic, and
-    differently-ordered but equal instances land on the same cell.
+    compact (no key pins a whole partition object graph) and makes the
+    cross-harness key-reuse canonical: the CALM monotonicity probes
+    regenerate their instances per diagnostic, and differently-ordered
+    but equal instances land on the same cell.
     Raises ``ValueError`` when a node or dom value has no canonical
     rendering (see :func:`instance_digest`); cached on the partition.
     """
@@ -457,6 +452,30 @@ def _key_part_text(part) -> str:
     return _value_token(part)
 
 
+#: The sqlite tables: the format/runtime stamp, then the purgeable rows.
+_TABLES = ("meta", "entries", "memos")
+
+#: What a damaged file raises: sqlite's own errors, and the decode
+#: error the ``sqlite3`` module raises for a schema page that is no
+#: longer valid UTF-8.
+_DAMAGE = (sqlite3.DatabaseError, UnicodeDecodeError)
+
+#: Bytes of the checksum that prefixes every row value.
+_SEAL_BYTES = 16
+
+
+def _seal(key: str, blob: bytes) -> bytes:
+    """The checksum of one row: a digest over its key *and* its value,
+    so a damaged value, or an intact value reached under the wrong key
+    (a damaged index), never passes."""
+    digest = hashlib.blake2b(digest_size=_SEAL_BYTES)
+    encoded = key.encode()
+    digest.update(len(encoded).to_bytes(8, "big"))
+    digest.update(encoded)
+    digest.update(blob)
+    return digest.digest()
+
+
 def _disk_key_text(key: tuple) -> str | None:
     """The canonical text rendering of a :func:`run_key`, or None when
     the key has no cross-process rendering (``mem:`` fingerprints,
@@ -470,21 +489,30 @@ def _disk_key_text(key: tuple) -> str | None:
 
 
 class _DiskTier:
-    """The sqlite tier below the in-memory bound.
+    """The sqlite tier below the in-memory bound — and the cache's only
+    persistence.
 
-    Rows are ``(canonical run_key text, pickled frozen value)``.  The
-    file carries the :func:`runtime_token` of the code that wrote it;
-    opening it under different library source purges every row — the
-    same results-are-pure-only-under-one-runtime argument that guards
-    :meth:`RunCache.load`, enforced at open instead of read so a stale
-    file degrades to a cold tier, never a wrong hit.
+    Two tables hold the rows: ``entries`` maps the canonical
+    :func:`run_key` text to the pickled value, and ``memos`` maps a
+    transducer fingerprint to its pickled convergence-memo entries.
+    The file is stamped with the format version and the
+    :func:`runtime_token` of the code that wrote it, and :meth:`_open`
+    is the one place that stamp is checked: a file written under a
+    different format or different library source is purged with a
+    :class:`RuntimeWarning` — results are pure functions of their key
+    only under one runtime, so a stale file degrades to a cold tier,
+    never a wrong hit.
 
     Damage degrades, never crashes: a corrupt or truncated file at
     open is warned about, deleted and recreated fresh; if even that
     fails — or sqlite errors mid-session — the tier disables itself
-    (gets miss, puts discard) and the cache continues memory-only.  A
-    long sweep must survive a bad disk, and the tier is only ever an
-    accelerator.
+    (gets miss, puts discard) and the cache continues memory-only.
+    Every row value is prefixed with a checksum over its key and its
+    pickle (:func:`_seal`), because sqlite does not checksum its pages:
+    a row that fails the check is a miss with a warning, never a
+    decoder error and never a wrong hit, and the recomputed value
+    overwrites it at the next spill.  A long sweep must survive a bad
+    disk, and the tier is only ever an accelerator.
 
     The tier is thread-safe: the connection is opened with
     ``check_same_thread=False`` (sqlite's default refuses any use from
@@ -505,7 +533,7 @@ class _DiskTier:
         self._lock = threading.RLock()
         try:
             self._conn = self._open()
-        except sqlite3.DatabaseError as exc:
+        except _DAMAGE as exc:
             warnings.warn(
                 f"run-cache disk tier {self.path!r} is corrupt ({exc}); "
                 "purging and starting a fresh tier",
@@ -518,7 +546,7 @@ class _DiskTier:
                 pass
             try:
                 self._conn = self._open()
-            except sqlite3.DatabaseError:
+            except _DAMAGE:
                 self._disable("could not be recreated")
 
     def _open(self):
@@ -528,24 +556,37 @@ class _DiskTier:
         # because every touch holds self._lock.
         conn = sqlite3.connect(self.path, check_same_thread=False)
         try:
-            conn.execute(
-                "CREATE TABLE IF NOT EXISTS meta (k TEXT PRIMARY KEY, v TEXT)"
-            )
-            conn.execute(
-                "CREATE TABLE IF NOT EXISTS entries (k TEXT PRIMARY KEY, v BLOB)"
-            )
-            stamp = f"{_CACHE_FORMAT}/{_CACHE_VERSION}/{runtime_token()}"
+            for table in _TABLES:
+                conn.execute(
+                    f"CREATE TABLE IF NOT EXISTS {table} "
+                    "(k TEXT PRIMARY KEY, v BLOB)"
+                )
+            layout = f"{_CACHE_FORMAT}/{_CACHE_VERSION}/"
+            stamp = layout + runtime_token()
             row = conn.execute(
                 "SELECT v FROM meta WHERE k = 'runtime'"
             ).fetchone()
             if row is None or row[0] != stamp:
-                conn.execute("DELETE FROM entries")
+                for table in _TABLES[1:]:
+                    conn.execute(f"DELETE FROM {table}")
                 conn.execute(
                     "INSERT OR REPLACE INTO meta (k, v) VALUES ('runtime', ?)",
                     (stamp,),
                 )
             conn.commit()
-        except sqlite3.DatabaseError:
+            if row is not None and row[0] != stamp:
+                reason = (
+                    "a different runtime version"
+                    if str(row[0]).startswith(layout)
+                    else "a different file format"
+                )
+                warnings.warn(
+                    f"run-cache disk tier {self.path!r} was written by "
+                    f"{reason}; purged it and starting a cold tier",
+                    RuntimeWarning,
+                    stacklevel=4,
+                )
+        except BaseException:
             conn.close()
             raise
         return conn
@@ -565,30 +606,52 @@ class _DiskTier:
                     pass
             self._conn = None
 
-    def get(self, text: str) -> bytes | None:
+    def get(self, key: str, table: str = "entries") -> bytes | None:
         with self._lock:
             if self._conn is None:
                 return None
             try:
                 row = self._conn.execute(
-                    "SELECT v FROM entries WHERE k = ?", (text,)
+                    f"SELECT v FROM {table} WHERE k = ?", (key,)
                 ).fetchone()
-            except sqlite3.DatabaseError as exc:
+            except _DAMAGE as exc:
                 self._disable(f"failed mid-session ({exc})")
                 return None
-            return row[0] if row is not None else None
+        if row is None:
+            return None
+        sealed = row[0]
+        if isinstance(sealed, bytes):
+            blob = sealed[_SEAL_BYTES:]
+            if sealed[:_SEAL_BYTES] == _seal(key, blob):
+                return blob
+        warnings.warn(
+            f"run-cache disk tier {self.path!r} holds a damaged {table} "
+            "row; treating it as a miss",
+            RuntimeWarning,
+            stacklevel=4,
+        )
+        return None
 
-    def put(self, text: str, blob: bytes) -> None:
+    def put(self, entries, memos=()) -> None:
+        """Write entry rows and memo rows — ``(key, pickle)`` pairs,
+        sealed here — in one transaction (one commit, however many
+        rows)."""
+        entries = [(k, _seal(k, blob) + blob) for k, blob in entries]
+        memos = [(k, _seal(k, blob) + blob) for k, blob in memos]
         with self._lock:
             if self._conn is None:
                 return
             try:
-                self._conn.execute(
-                    "INSERT OR REPLACE INTO entries (k, v) VALUES (?, ?)",
-                    (text, blob),
-                )
-                self._conn.commit()
-            except sqlite3.DatabaseError as exc:
+                with self._conn:
+                    self._conn.executemany(
+                        "INSERT OR REPLACE INTO entries (k, v) VALUES (?, ?)",
+                        entries,
+                    )
+                    self._conn.executemany(
+                        "INSERT OR REPLACE INTO memos (k, v) VALUES (?, ?)",
+                        memos,
+                    )
+            except _DAMAGE as exc:
                 self._disable(f"failed mid-session ({exc})")
 
     def __len__(self) -> int:
@@ -599,7 +662,7 @@ class _DiskTier:
                 return self._conn.execute(
                     "SELECT COUNT(*) FROM entries"
                 ).fetchone()[0]
-            except sqlite3.DatabaseError as exc:
+            except _DAMAGE as exc:
                 self._disable(f"failed mid-session ({exc})")
                 return 0
 
@@ -618,58 +681,36 @@ class _DiskTier:
 # ---------------------------------------------------------------------------
 
 
-class _CompressedResult:
-    """A zlib-compressed pickle of one cached value (trace-heavy
-    ``RunResult``s).  Thawed transparently on :meth:`RunCache.get`;
-    pickle round-trips are pinned bit-identical by the conformance
-    suite, so compression never changes an observation."""
-
-    __slots__ = ("blob",)
-
-    def __init__(self, blob: bytes):
-        self.blob = blob
-
-    @classmethod
-    def freeze(cls, value) -> "_CompressedResult":
-        return cls(
-            zlib.compress(pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL))
-        )
-
-    def thaw(self):
-        return pickle.loads(zlib.decompress(self.blob))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, _CompressedResult):
-            return NotImplemented
-        return self.blob == other.blob
-
-    def __hash__(self) -> int:
-        return hash(self.blob)
-
-    def __reduce__(self):
-        return (_CompressedResult, (self.blob,))
-
-    def __repr__(self) -> str:
-        return f"_CompressedResult({len(self.blob)} bytes)"
-
-
 #: Weight charged to a value that cannot be pickled (it still occupies
 #: memory, so it must still count against a byte budget).
 _NOMINAL_WEIGHT = 1024
 
 
+def _pickled(value) -> bytes | None:
+    """*value*'s pickle, or None when it cannot be pickled."""
+    try:
+        return pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+    except Exception:
+        return None
+
+
 def _weigh(value) -> int:
     """The byte weight of one cached value: its pickled size — the one
     size measure that is well-defined for every value shape the cache
-    holds (RunResults, frozensets, Dedalus traces) and that
-    ``compress_traces`` already computes (a compressed entry weighs its
-    blob, the bytes it actually occupies)."""
-    if isinstance(value, _CompressedResult):
-        return len(value.blob)
-    try:
-        return len(pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL))
-    except Exception:
-        return _NOMINAL_WEIGHT
+    holds (RunResults, frozensets, Dedalus traces), and exactly the
+    size of the value's sqlite row."""
+    blob = _pickled(value)
+    return len(blob) if blob is not None else _NOMINAL_WEIGHT
+
+
+def _disk_row(key: tuple, value) -> tuple[str, bytes] | None:
+    """The sqlite row of one entry, or None when it must not spill (no
+    canonical key rendering, or an unpicklable value)."""
+    text = _disk_key_text(key)
+    if text is None:
+        return None
+    blob = _pickled(value)
+    return None if blob is None else (text, blob)
 
 
 class RunCache:
@@ -684,44 +725,38 @@ class RunCache:
     Dedalus cells); callers must treat returned objects as immutable —
     they are shared, not copied.
 
-    *max_entries* bounds the store as an LRU keyed by last hit: a
-    :meth:`get` hit promotes its entry to most-recent, a
-    :meth:`record` past the bound evicts the least-recently-used entry
-    first (``evictions`` counts them).  *max_bytes* bounds the same
-    LRU by **weight** instead of count: every entry is weighed by its
-    pickled size (``compress_traces`` entries by their compressed blob
-    — the bytes they actually occupy), eviction pops the stalest
-    entries until the total fits, and an entry larger than the whole
-    budget is simply not kept in memory.  Both bounds may be active at
-    once; ``None`` (the default) keeps the historical unbounded
-    behaviour.  Because every value is a pure function of its key,
+    *max_bytes* bounds the store as an LRU keyed by last hit, weighing
+    every entry by its pickled size: a :meth:`get` hit promotes its
+    entry to most-recent, a :meth:`record` past the budget evicts the
+    least-recently-used entries until the total fits (``evictions``
+    counts them), and an entry larger than the whole budget is simply
+    not kept in memory.  ``None`` (the default) leaves the store
+    unbounded.  Because every value is a pure function of its key,
     eviction is always safe — a later miss on an evicted key
     recomputes the identical value (property-tested).
 
-    *compress_traces* compresses ``RunResult`` values that carry a
-    nonempty ``keep_trace=True`` trace (the entries that dominate a
-    bounded cache's footprint); :meth:`get` thaws them transparently.
-
-    *disk_path* opens a sqlite tier **below** the in-memory bound:
+    *disk_path* opens a sqlite file **below** the in-memory bound:
     eviction *demotes* the entry to disk (``demotions``) when its key
     has a canonical cross-process rendering, and a memory miss checks
-    disk before giving up — a disk hit *promotes* the entry back into
-    memory (``promotions``) and counts as a cache hit.  The file is
-    guarded by :func:`runtime_token`, so a long-lived server restarts
-    warm while a stale file degrades to a cold tier.  The tier is
-    process-local plumbing: it is dropped by pickling (worker copies
-    are memory-only) and :meth:`save` bundles only the memory tier.
+    disk before giving up — a disk hit counts as a cache hit and
+    *promotes* the entry back into memory (``promotions``) unless it
+    alone exceeds the budget.  The file is the cache's only
+    persistence: :meth:`close` spills the memory tier and the memo
+    snapshots into it, and a later session — a restarted server, the
+    next CI job — starts warm by opening the same path.  The file is
+    guarded by :func:`runtime_token`, so a stale file degrades to a
+    cold tier.  The tier is process-local plumbing: pickling drops it
+    (worker copies are memory-only).
 
-    The cache also bundles per-fingerprint convergence-memo snapshots
-    (:meth:`store_memo` / :meth:`memo_for`), so one :meth:`save` file
-    restores both the run results *and* the quiescence certificates a
-    warm CI job needs; the bounds, the compression flag and the LRU
-    recency order all survive the round-trip (bundle format v3).
+    The cache also keeps per-fingerprint convergence-memo snapshots
+    (:meth:`store_memo` / :meth:`memo_for`), so the one file restores
+    both the run results *and* the quiescence certificates a warm CI
+    job needs.
 
     The cache is **thread-safe**: one reentrant lock guards every
     mutation path — :meth:`get` (LRU promotion + counters),
     :meth:`record`, eviction/demotion, the journal, merges and
-    :meth:`save`'s snapshot.  Unlocked, two orchestrator workers
+    :meth:`close`'s spill.  Unlocked, two orchestrator workers
     interleaving ``get``/``record`` could corrupt the recency dict
     mid-promotion (``del`` then re-insert is two steps), double-evict
     one key (both pop the same front entry, the ``bytes`` ledger
@@ -731,28 +766,12 @@ class RunCache:
     class goes through :meth:`bump` so it lands under the same lock.
     """
 
-    _KEEP = object()  # load() sentinel: use the persisted bound
-
-    def __init__(
-        self,
-        entries: dict | None = None,
-        memos: dict | None = None,
-        max_entries: int | None = None,
-        compress_traces: bool = False,
-        max_bytes: int | None = None,
-        disk_path=None,
-    ):
-        if max_entries is not None:
-            max_entries = int(max_entries)
-            if max_entries < 1:
-                raise ValueError(f"max_entries must be >= 1, got {max_entries}")
+    def __init__(self, max_bytes: int | None = None, disk_path=None):
         if max_bytes is not None:
             max_bytes = int(max_bytes)
             if max_bytes < 1:
                 raise ValueError(f"max_bytes must be >= 1, got {max_bytes}")
-        self.max_entries = max_entries
         self.max_bytes = max_bytes
-        self.compress_traces = bool(compress_traces)
         # Reentrant: record() -> _evict_over_bound() -> _disk demotion
         # all run under one acquisition; dropped by __reduce__ (worker
         # copies build their own).
@@ -762,7 +781,7 @@ class RunCache:
         self._weights: dict[tuple, int] = {}
         self.bytes = 0
         #: fingerprint -> ConvergenceMemo entry dict
-        self.memos: dict[str, dict] = dict(memos) if memos else {}
+        self.memos: dict[str, dict] = {}
         self.cache_hits = 0
         self.cache_misses = 0
         #: In-grid duplicate cells resolved without consulting the
@@ -777,10 +796,6 @@ class RunCache:
         self._journal: dict | None = None
         self.disk_path = str(disk_path) if disk_path is not None else None
         self._disk = _DiskTier(disk_path) if disk_path is not None else None
-        if entries:
-            for key, value in entries.items():
-                self._insert(key, value)
-        self._evict_over_bound()
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -799,96 +814,79 @@ class RunCache:
 
         A hit promotes the entry to most-recently-used, so the LRU
         bound evicts by last *hit*, not last insert.  With a disk
-        tier, a memory miss falls through to disk; a disk hit promotes
-        the entry back into memory (the row stays — the disk tier is
-        a superset, not a spill-once) and counts as a cache hit.
+        tier, a memory miss falls through to disk; a disk hit counts
+        as a cache hit and promotes the entry back into memory (the
+        row stays — the disk tier is a superset, not a spill-once).
         """
         with self._lock:
             value = self.entries.get(key)
+            if value is not None:
+                self.cache_hits += 1
+                # Promotion: dicts iterate in insertion order, so
+                # re-inserting makes insertion order *recency* order —
+                # eviction pops the front, i.e. the least recently hit
+                # entry.
+                del self.entries[key]
+                self.entries[key] = value
+                return value
+            if self._disk is not None:
+                value = self._disk_get(key)
             if value is None:
-                if self._disk is not None:
-                    value = self._disk_get(key)
-                    if value is not None:
-                        return value
                 self.cache_misses += 1
-                return None
-            self.cache_hits += 1
-            # Promotion: dicts iterate in insertion order, so
-            # re-inserting makes insertion order *recency* order —
-            # eviction pops the front, i.e. the least recently hit
-            # entry.
-            del self.entries[key]
-            self.entries[key] = value
-        if isinstance(value, _CompressedResult):
-            value = value.thaw()
-        return value
+            else:
+                self.cache_hits += 1
+            return value
 
     def _disk_get(self, key: tuple):
         # Caller (get) holds the lock.
         text = _disk_key_text(key)
-        if text is None:
-            return None
-        blob = self._disk.get(text)
+        blob = self._disk.get(text) if text is not None else None
         if blob is None:
             return None
         value = pickle.loads(blob)
-        self.cache_hits += 1
-        self.promotions += 1
-        self._insert(key, value)
-        self._evict_over_bound()
-        if isinstance(value, _CompressedResult):
-            value = value.thaw()
+        # The row is the value's pickle, so its length is the entry's
+        # weight.  An entry heavier than the whole budget is served
+        # from disk without a promotion: inserting it would only evict
+        # it again at once and rewrite its row on every hit.
+        if self.max_bytes is None or len(blob) <= self.max_bytes:
+            self.promotions += 1
+            self._insert(key, value, len(blob))
+            self._evict_over_bound()
         return value
 
     def record(self, key: tuple, value) -> None:
-        value = self._freeze(value)
         with self._lock:
             self._insert(key, value)
             if self._journal is not None:
                 self._journal[key] = value
             self._evict_over_bound()
 
-    def _insert(self, key: tuple, value) -> None:
-        """Insert an already-frozen value as most-recent, keeping the
-        weight ledger exact on re-insert."""
+    def _insert(self, key: tuple, value, weight: int | None = None) -> None:
+        """Insert *value* as most-recent, keeping the weight ledger
+        exact on re-insert."""
         old = self._weights.pop(key, None)
         if old is not None:
             del self.entries[key]
             self.bytes -= old
-        weight = _weigh(value)
+        if weight is None:
+            weight = _weigh(value)
         self.entries[key] = value
         self._weights[key] = weight
         self.bytes += weight
 
-    def _freeze(self, value):
-        if self.compress_traces and getattr(value, "trace", None):
-            return _CompressedResult.freeze(value)
-        return value
-
     def _evict_over_bound(self) -> None:
-        if self.max_entries is not None:
-            while len(self.entries) > self.max_entries:
-                self._evict_one()
-        if self.max_bytes is not None:
-            while self.bytes > self.max_bytes and self.entries:
-                self._evict_one()
-
-    def _evict_one(self) -> None:
-        key = next(iter(self.entries))
-        value = self.entries.pop(key)
-        self.bytes -= self._weights.pop(key)
-        self.evictions += 1
-        if self._disk is not None:
-            text = _disk_key_text(key)
-            if text is not None:
-                try:
-                    blob = pickle.dumps(
-                        value, protocol=pickle.HIGHEST_PROTOCOL
-                    )
-                except Exception:
-                    return  # unpicklable value: discard, as without disk
-                self._disk.put(text, blob)
-                self.demotions += 1
+        if self.max_bytes is None:
+            return
+        while self.bytes > self.max_bytes and self.entries:
+            key = next(iter(self.entries))
+            value = self.entries.pop(key)
+            self.bytes -= self._weights.pop(key)
+            self.evictions += 1
+            if self._disk is not None:
+                row = _disk_row(key, value)
+                if row is not None:
+                    self._disk.put([row])
+                    self.demotions += 1
 
     # -- the shared worker tier ------------------------------------------
 
@@ -901,7 +899,7 @@ class RunCache:
 
     def drain_new(self) -> dict:
         """The entries recorded since the journal (re)started; resets
-        the journal.  Values are frozen exactly as stored."""
+        the journal."""
         with self._lock:
             delta, self._journal = self._journal or {}, {}
         return delta
@@ -916,7 +914,7 @@ class RunCache:
         sibling's result computed earlier in the same sweep serves
         later tasks instead of re-missing per worker.
         """
-        view = RunCache(compress_traces=self.compress_traces)
+        view = RunCache()
         with self._lock:
             view.entries = dict(self.entries)
             view._weights = dict(self._weights)
@@ -938,79 +936,58 @@ class RunCache:
                 self._evict_over_bound()
         return added
 
-    def merge(self, other: "RunCache") -> int:
-        """Fold another cache in; returns the number of new run entries.
-
-        Under one runtime, overlaps are identical (values are
-        deterministic functions of their key) and the direction is
-        moot; existing entries still win on overlap, so folding an
-        older snapshot into a live cache can never shadow freshly
-        computed results.  A bound on the live cache is enforced after
-        the fold (merged-in entries count as most recent, in the other
-        cache's recency order).
-        """
-        # Snapshot the other cache under its own lock, then fold under
-        # ours — never both at once, so two caches merging each other
-        # concurrently cannot deadlock.
-        with other._lock:
-            other_entries = dict(other.entries)
-            other_memos = {
-                fp: dict(entries) for fp, entries in other.memos.items()
-            }
-        with self._lock:
-            before = len(self.entries)
-            for key, value in other_entries.items():
-                if key not in self.entries:
-                    # Freeze on the way in, exactly like record():
-                    # merging a warm-start bundle into a
-                    # compress_traces cache must not accumulate the
-                    # uncompressed trace-heavy entries the knob exists
-                    # to shrink.
-                    self._insert(key, self._freeze(value))
-            for fingerprint, memo_entries in other_memos.items():
-                mine = self.memos.setdefault(fingerprint, {})
-                for key, value in memo_entries.items():
-                    mine.setdefault(key, value)
-            added = len(self.entries) - before
-            self._evict_over_bound()
-        return added
-
     def close(self) -> None:
-        """Spill memory entries down to the disk tier (when present)
-        and close its sqlite handle (idempotent; the cache keeps
-        working memory-only afterwards).
+        """Spill the memory tier and the memo snapshots into the sqlite
+        file (when present) in one transaction, and close its handle
+        (idempotent; the cache keeps working memory-only afterwards).
 
-        The shutdown spill is what makes a restarted service fully
-        warm: eviction-time demotion only covers cells that *left*
+        The shutdown spill is what makes the file a complete warm
+        start: eviction-time demotion only covers cells that *left*
         memory, so without it the most recently used cells — exactly
         the ones a client is most likely to resubmit — would die with
-        the process.  Counted as demotions; the usual restrictions
-        apply (``mem:`` fingerprints and object keys never spill).
+        the process.  Spilled entries count as demotions; ``mem:``
+        fingerprints and object keys never reach the file.
         """
         with self._lock:
-            if self._disk is not None:
-                for key, value in self.entries.items():
-                    text = _disk_key_text(key)
-                    if text is None:
-                        continue
-                    try:
-                        blob = pickle.dumps(
-                            value, protocol=pickle.HIGHEST_PROTOCOL
-                        )
-                    except Exception:
-                        continue
-                    self._disk.put(text, blob)
-                    self.demotions += 1
-                self._disk.close()
-                self._disk = None
+            if self._disk is None:
+                return
+            rows = [
+                row
+                for row in itertools.starmap(_disk_row, self.entries.items())
+                if row is not None
+            ]
+            memo_rows = [
+                (fingerprint, blob)
+                for fingerprint, entries in self.memos.items()
+                if not fingerprint.startswith("mem:")
+                and (blob := _pickled(entries)) is not None
+            ]
+            self._disk.put(rows, memo_rows)
+            self.demotions += len(rows)
+            self._disk.close()
+            self._disk = None
 
-    # -- bundled convergence memos --------------------------------------
+    # -- convergence-memo snapshots --------------------------------------
+
+    def _memo_entries(self, fingerprint: str) -> dict | None:
+        """The snapshot stored for *fingerprint*: memory first, then the
+        sqlite file (loaded into memory, so the next :meth:`close`
+        writes back a superset of the row).  Caller holds the lock."""
+        entries = self.memos.get(fingerprint)
+        if entries is None and self._disk is not None:
+            blob = self._disk.get(fingerprint, table="memos")
+            if blob is not None:
+                entries = self.memos[fingerprint] = pickle.loads(blob)
+        return entries
 
     def store_memo(self, transducer, memo: ConvergenceMemo) -> None:
         """Snapshot *memo*'s certificates under *transducer*'s fingerprint."""
         fingerprint = transducer_fingerprint(transducer)
         with self._lock:
-            self.memos.setdefault(fingerprint, {}).update(memo.entries)
+            entries = self._memo_entries(fingerprint)
+            if entries is None:
+                entries = self.memos[fingerprint] = {}
+            entries.update(memo.entries)
 
     def memo_for(self, transducer) -> ConvergenceMemo | None:
         """A fresh :class:`ConvergenceMemo` seeded with the snapshot
@@ -1018,123 +995,8 @@ class RunCache:
         Sound by the fingerprint contract: entries only come back for a
         structurally identical transducer."""
         with self._lock:
-            entries = self.memos.get(transducer_fingerprint(transducer))
-            if entries is None:
-                return None
-            return ConvergenceMemo(dict(entries))
-
-    # -- persistence -----------------------------------------------------
-
-    def save(self, path) -> None:
-        """Persist run entries and memo snapshots to *path* (pickle).
-
-        Session-local ``mem:`` fingerprints are dropped on the way out:
-        they can never match in another process, so persisting them
-        would only bloat the file.  Entries are written in LRU recency
-        order and the bound/compression knobs ride along, so a
-        :meth:`load` resumes the exact cache state (minus counters).
-        """
-        def persistable(key) -> bool:
-            fingerprint = key[2] if len(key) > 2 else ""
-            return not (
-                isinstance(fingerprint, str)
-                and fingerprint.startswith("mem:")
-            )
-
-        with self._lock:
-            payload = {
-                "format": _CACHE_FORMAT,
-                "version": _CACHE_VERSION,
-                "runtime": runtime_token(),
-                "max_entries": self.max_entries,
-                "max_bytes": self.max_bytes,
-                "compress_traces": self.compress_traces,
-                "entries": {
-                    key: value
-                    for key, value in self.entries.items()
-                    if persistable(key)
-                },
-                "memos": {
-                    fingerprint: dict(entries)
-                    for fingerprint, entries in self.memos.items()
-                    if not fingerprint.startswith("mem:")
-                },
-            }
-        with open(path, "wb") as handle:
-            pickle.dump(payload, handle, protocol=pickle.HIGHEST_PROTOCOL)
-
-    @classmethod
-    def load(
-        cls, path, max_entries=_KEEP, max_bytes=_KEEP, disk_path=None
-    ) -> "RunCache":
-        """Load a cache persisted by :meth:`save` (format v3).
-
-        *max_entries* / *max_bytes* override the persisted bounds when
-        given (``None`` unbinds, an integer re-binds — oldest entries
-        are evicted on the way in when the snapshot exceeds the new
-        bound); by default the persisted bounds are kept.  *disk_path*
-        attaches a disk tier to the loaded cache, so a bounded restore
-        demotes its overflow instead of discarding it.
-
-        A *damaged* bundle — truncated, byte-flipped, any file whose
-        bytes no longer decode as a pickle — degrades to a cold cache
-        with a :class:`RuntimeWarning` instead of crashing the sweep
-        that wanted a warm start.  Bundles that decode fine but are the
-        wrong *thing* (not a saved RunCache, a different format
-        version, a different runtime) still raise ``ValueError``:
-        those are caller mistakes worth surfacing loudly, not disk rot.
-        A missing file raises ``FileNotFoundError`` as ever.
-        """
-        try:
-            with open(path, "rb") as handle:
-                payload = pickle.load(handle)
-        except OSError:
-            raise
-        except Exception as exc:
-            # Corrupt bytes surface as UnpicklingError, EOFError (a
-            # truncated stream) or whatever half-decoded garbage the
-            # pickle VM tripped over — none of which the caller can
-            # act on beyond starting cold, so do that for them.
-            warnings.warn(
-                f"run-cache bundle {str(path)!r} is damaged ({exc!r}); "
-                "starting with a cold cache",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            return cls(
-                max_entries=None if max_entries is cls._KEEP else max_entries,
-                max_bytes=None if max_bytes is cls._KEEP else max_bytes,
-                disk_path=disk_path,
-            )
-        if (
-            not isinstance(payload, dict)
-            or payload.get("format") != _CACHE_FORMAT
-        ):
-            raise ValueError(f"{path!r} is not a saved RunCache")
-        if payload.get("version") != _CACHE_VERSION:
-            raise ValueError(
-                f"unsupported RunCache version {payload.get('version')!r}"
-            )
-        if payload.get("runtime") != runtime_token():
-            # Results are pure functions of their key only under the
-            # code that produced them; a bundle from different source
-            # is a cold start, never a wrong hit.
-            raise ValueError(
-                f"{path!r} was saved by a different runtime version; "
-                "discard it and start cold"
-            )
-        if max_entries is cls._KEEP:
-            max_entries = payload.get("max_entries")
-        if max_bytes is cls._KEEP:
-            max_bytes = payload.get("max_bytes")
-        return cls(
-            payload["entries"],
-            payload["memos"],
-            max_entries=max_entries,
-            compress_traces=payload.get("compress_traces", False),
-            max_bytes=max_bytes,
-            disk_path=disk_path,
-        )
+            entries = self._memo_entries(transducer_fingerprint(transducer))
+            return None if entries is None else ConvergenceMemo(dict(entries))
 
     def stats(self) -> dict:
         with self._lock:
@@ -1146,7 +1008,6 @@ class RunCache:
                 "cache_misses": self.cache_misses,
                 "cache_dedup": self.cache_dedup,
                 "shared_hits": self.shared_hits,
-                "max_entries": self.max_entries,
                 "max_bytes": self.max_bytes,
                 "evictions": self.evictions,
                 "demotions": self.demotions,
@@ -1161,26 +1022,35 @@ class RunCache:
         # memory-only and builds its own lock.
         with self._lock:
             return (
-                RunCache,
+                _unpickle_cache,
                 (
                     dict(self.entries),
+                    dict(self._weights),
                     {fp: dict(e) for fp, e in self.memos.items()},
-                    self.max_entries,
-                    self.compress_traces,
                     self.max_bytes,
                 ),
             )
 
     def __repr__(self) -> str:
-        bound = "∞" if self.max_entries is None else self.max_entries
         byte_bound = "∞" if self.max_bytes is None else self.max_bytes
         disk = f", disk={self.disk_path}" if self.disk_path else ""
         return (
-            f"RunCache({len(self.entries)}/{bound} runs, "
+            f"RunCache({len(self.entries)} runs, "
             f"{self.bytes}/{byte_bound} bytes, "
             f"{len(self.memos)} memos, hits={self.cache_hits}, "
             f"misses={self.cache_misses}, evictions={self.evictions}{disk})"
         )
+
+
+def _unpickle_cache(
+    entries: dict, weights: dict, memos: dict, max_bytes: int | None
+) -> RunCache:
+    cache = RunCache(max_bytes=max_bytes)
+    cache.entries = entries
+    cache._weights = weights
+    cache.bytes = sum(weights.values())
+    cache.memos = memos
+    return cache
 
 
 def shared_run_cache(transducer) -> RunCache:

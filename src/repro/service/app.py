@@ -30,10 +30,9 @@ class ServiceConfig:
     port: int = 8080
     #: Concurrent job executions.
     job_workers: int = 4
-    #: Shared RunCache bounds; ``cache_disk_path`` enables the sqlite
-    #: disk tier — the thing that makes a restarted service warm.
+    #: Shared RunCache byte budget; ``cache_disk_path`` enables the
+    #: sqlite disk tier — the thing that makes a restarted service warm.
     cache_max_bytes: int | None = 64 * 1024 * 1024
-    cache_max_entries: int | None = None
     cache_disk_path: str | None = None
     #: Terminal-job store (GET /jobs/{id} across restarts).
     job_store_path: str | None = None
@@ -51,7 +50,6 @@ class VerificationService:
         self.config = config if config is not None else ServiceConfig()
         cache = RunCache(
             max_bytes=self.config.cache_max_bytes,
-            max_entries=self.config.cache_max_entries,
             disk_path=self.config.cache_disk_path,
         )
         engine = SweepEngine(

@@ -13,10 +13,12 @@ configuration and compared observation for observation — and, for
 against the serial unbounded reference, including mid-sweep eviction
 churn (a bounded cache small enough that recording evicts earlier
 cells of the *same* grid).  Tier configurations cover the whole
-storage hierarchy: unbounded, entry-bounded, byte-bounded, and
-entry-bounded with a sqlite disk tier below (eviction demotes,
-memory misses promote); parallel lifetimes additionally exercise the
-shared worker tier (read-mostly views + merged deltas).
+storage hierarchy: unbounded, byte-bounded, byte-bounded with a
+sqlite disk tier below (eviction demotes, memory misses promote), and
+a disk tier below a budget smaller than any one result (every record
+demotes at once, every warm cell is served from disk unpromoted);
+parallel lifetimes additionally exercise the shared worker tier
+(read-mostly views + merged deltas).
 
 Also pinned here, per the executor-fusion acceptance criteria:
 
@@ -84,23 +86,24 @@ ENGINE_CONFIGS = [
 ]
 
 # Cache modes: no cache, then cold/warm × every tier configuration.
-# The entry bound (3) and the byte budget (~2 RunResults) are both
-# deliberately smaller than the 6-cell grid, so recording a sweep
-# evicts earlier cells of the same sweep — the mid-churn case; the
-# disk modes put a sqlite tier below the entry bound, so those same
-# evictions demote instead of discarding.
+# The byte budget (~2 RunResults) is deliberately smaller than the
+# 6-cell grid, so recording a sweep evicts earlier cells of the same
+# sweep — the mid-churn case; the disk modes put a sqlite tier below
+# the same budget, so those evictions demote instead of discarding.
+# The oversized modes put the tier below a one-byte budget that no
+# result fits: memory never holds an entry, and a warm sweep is served
+# from disk alone, without a promotion.
 CACHE_MODES = (
     "none",
     "cold",
     "warm",
-    "cold-bounded",
-    "warm-bounded",
     "cold-bytes",
     "warm-bytes",
     "cold-disk",
     "warm-disk",
+    "cold-oversized-disk",
+    "warm-oversized-disk",
 )
-BOUND = 3
 BOUND_BYTES = 4096
 
 
@@ -109,12 +112,9 @@ def _make_cache(mode, network, partitions, seeds, disk_dir=None):
     if mode == "none":
         return None
     kwargs = {}
-    if mode.endswith("bounded"):
-        kwargs["max_entries"] = BOUND
-    elif mode.endswith("bytes"):
-        kwargs["max_bytes"] = BOUND_BYTES
-    elif mode.endswith("disk"):
-        kwargs["max_entries"] = BOUND
+    if mode.endswith(("bytes", "disk")):
+        kwargs["max_bytes"] = 1 if "oversized" in mode else BOUND_BYTES
+    if mode.endswith("disk"):
         kwargs["disk_path"] = os.path.join(disk_dir, f"tier-{mode}.sqlite")
     cache = RunCache(**kwargs)
     if mode.startswith("warm"):
@@ -153,6 +153,7 @@ class TestFullMatrix:
             cache_mode, line(3), partitions, seeds, disk_dir=str(tmp_path)
         )
         misses_after_warm = cache.cache_misses if cache is not None else 0
+        evictions_after_warm = cache.evictions if cache is not None else 0
         try:
             got = _run_config(
                 make_engine,
@@ -170,21 +171,28 @@ class TestFullMatrix:
                     cache.cache_hits + cache.cache_misses + cache.cache_dedup
                     >= len(reference)
                 )
-                if cache.max_entries is not None:
-                    assert len(cache) <= cache.max_entries
-                    assert cache.evictions > 0  # the bound really churned
                 if cache.max_bytes is not None:
                     assert cache.bytes <= cache.max_bytes
-                    assert cache.evictions > 0  # the budget really churned
+                    if cache_mode == "warm-oversized-disk":
+                        # served from disk, never inserted: no churn
+                        assert cache.evictions == evictions_after_warm
+                    else:
+                        # the budget really churned, mid-sweep
+                        assert cache.evictions > evictions_after_warm
                 if cache_mode.endswith("disk"):
                     stats = cache.stats()
                     assert stats["demotions"] > 0  # evictions spilled down
                     assert stats["disk_entries"] > 0
-                    if cache_mode == "warm-disk":
+                    if cache_mode.startswith("warm"):
                         # nothing was ever discarded: every warm cell is
                         # in memory or on disk, so the sweep never misses
                         assert cache.cache_misses == misses_after_warm
+                    if cache_mode == "warm-disk":
                         assert stats["promotions"] > 0
+                    elif "oversized" in cache_mode:
+                        # no result fits the budget: none is promoted
+                        assert stats["promotions"] == 0
+                        assert len(cache) == 0
         finally:
             if cache is not None:
                 cache.close()
@@ -231,7 +239,7 @@ class TestFullMatrix:
             # hits + misses + dedup covers the grid exactly: dedup
             # cells resolve in-grid without consulting the store.
             assert got.cache_hits + got.cache_misses + got.cache_dedup == cells
-            if cache_mode in ("warm", "warm-disk"):
+            if cache_mode in ("warm", "warm-disk", "warm-oversized-disk"):
                 # unbounded warm and warm-with-disk-tier never discard,
                 # so the sweep re-executes nothing
                 assert got.cache_misses == 0
@@ -248,14 +256,14 @@ class TestFullMatrix:
         partitions = sample_partitions(GRAPH, ring(3), 3)
         seeds = (0, 1)
         reference = sweep_runs(ring(3), TC, partitions, seeds)
-        cache = RunCache(max_entries=2)
+        cache = RunCache(max_bytes=BOUND_BYTES // 2)
         for _ in range(3):
             got = sweep_runs(
                 ring(3), TC, partitions, seeds, run_cache=cache,
                 engine=SweepEngine(workers=2),
             )
             assert got == reference
-            assert len(cache) <= 2
+            assert cache.bytes <= cache.max_bytes
         assert cache.evictions > 0
 
 
@@ -280,7 +288,9 @@ class TestFaultColumn:
         return partitions, seeds, reference
 
     @pytest.mark.parametrize("label,make_engine", ENGINE_CONFIGS)
-    @pytest.mark.parametrize("cache_mode", ("none", "cold", "warm-disk"))
+    @pytest.mark.parametrize(
+        "cache_mode", ("none", "cold", "warm-disk", "warm-oversized-disk")
+    )
     def test_faulty_sweep_matches_serial_reference(
         self, faulty_grid, label, make_engine, cache_mode, tmp_path
     ):
@@ -288,13 +298,16 @@ class TestFaultColumn:
         cache = None
         if cache_mode != "none":
             kwargs = {}
-            if cache_mode == "warm-disk":
-                kwargs["max_entries"] = BOUND
+            if cache_mode.endswith("disk"):
+                kwargs["max_bytes"] = (
+                    1 if "oversized" in cache_mode else BOUND_BYTES
+                )
                 kwargs["disk_path"] = os.path.join(str(tmp_path), "tier.sqlite")
             cache = RunCache(**kwargs)
             if cache_mode.startswith("warm"):
                 sweep_runs(line(3), TC, partitions, seeds,
                            run_cache=cache, options=self.OPTIONS)
+        misses_after_warm = cache.cache_misses if cache is not None else 0
         try:
             got = _run_config(
                 make_engine,
@@ -306,6 +319,9 @@ class TestFaultColumn:
                 options=self.OPTIONS,
             )
             assert got == reference  # observation for observation
+            if cache_mode.startswith("warm"):
+                # faulty cells come back from the tier, never recomputed
+                assert cache.cache_misses == misses_after_warm
             # the plan really disturbed the schedules
             assert any(
                 obs.result.stats.messages_dropped
@@ -413,7 +429,7 @@ class TestPersistentLifetime:
             pooled_b = sweep_runs(line(3), TC, partitions, (2, 3), engine=engine)
             verdict = calm_verdict(
                 transitive_closure_transducer(), GRAPH,
-                run_cache=RunCache(max_entries=8), engine=engine,
+                run_cache=RunCache(max_bytes=16 * BOUND_BYTES), engine=engine,
             )
             assert engine.maps_served >= 2  # one fork, many sweeps
         assert pooled_a == serial_a
@@ -422,14 +438,14 @@ class TestPersistentLifetime:
 
     def test_smoke_persistent_bounded(self):
         # The CI conformance smoke configuration: 2-worker persistent
-        # lifetime, bounded cache max_entries=8, checked against the
-        # serial unbounded reference.
+        # lifetime, a byte-bounded cache roomy enough for the whole
+        # grid, checked against the serial unbounded reference.
         partitions = sample_partitions(GRAPH, line(3), 3)
         seeds = (0, 1)
         reference = check_consistency(
             line(3), TC, GRAPH, partitions=partitions, seeds=seeds
         )
-        cache = RunCache(max_entries=8)
+        cache = RunCache(max_bytes=16 * BOUND_BYTES)
         with SweepEngine(workers=2, lifetime="persistent") as engine:
             first = check_consistency(
                 line(3), TC, GRAPH, partitions=partitions, seeds=seeds,
@@ -447,7 +463,7 @@ class TestPersistentLifetime:
         cells = len(reference.observations)
         assert second.cache_hits + second.cache_dedup == cells
         assert second.cache_misses == 0
-        assert len(cache) <= 8
+        assert cache.bytes <= cache.max_bytes
 
     def test_smoke_persistent_shared_tier(self, tmp_path):
         # The second CI conformance smoke configuration: the full
@@ -515,7 +531,7 @@ class TestDedalusConformance:
         try:
             got = sweep_distributed(
                 program, net, partitions, seeds=(0, 1), max_steps=300,
-                run_cache=RunCache(max_entries=BOUND), **kwargs,
+                run_cache=RunCache(max_bytes=BOUND_BYTES), **kwargs,
             )
         finally:
             if engine is not None:

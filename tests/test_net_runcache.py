@@ -1,7 +1,7 @@
 """The run-level result cache and the persistent sweep pool.
 
-Property suites pinning the PR 4 guarantees (and the PR 5 LRU bound,
-canonical partition digests and trace compression):
+Property suites pinning the PR 4 guarantees (and the byte-weighted LRU
+bound, the sqlite file and canonical partition digests):
 
 * **cache determinism** — a :class:`~repro.net.runcache.RunCache` hit
   reproduces the exact :class:`~repro.net.run.RunResult` a fresh run
@@ -13,13 +13,16 @@ canonical partition digests and trace compression):
 * **fingerprint soundness** — structurally identical transducers share
   a canonical fingerprint (what makes persisted entries reusable
   across processes), different transducers never do, and transducers
-  with non-canonical queries get session-local fingerprints that a
-  save file refuses to carry;
+  with non-canonical queries get session-local fingerprints that the
+  sqlite file never carries;
 * **shutdown discipline** — clean exits drain worker pools
   (``close``+``join``), only exceptional exits terminate them.
 """
 
+import inspect
+import pathlib
 import pickle
+import sqlite3
 import warnings
 
 import hypothesis.strategies as st
@@ -50,7 +53,7 @@ from repro.net import (
     transducer_fingerprint,
 )
 from repro.net.runcache import (
-    _CompressedResult,
+    _weigh,
     instance_digest,
     partition_digest,
     resolve_run_cache,
@@ -139,9 +142,7 @@ class TestRunCache:
         cache.record(key, "value")
         assert cache.get(key) == "value"
         assert (cache.cache_hits, cache.cache_misses) == (1, 1)
-        other = RunCache()
-        other.record(("k2",), "v2")
-        assert cache.merge(other) == 1
+        assert cache.merge_worker_delta({("k2",): "v2"}) == 1
         assert len(cache) == 2
         assert cache.stats()["entries"] == 2
 
@@ -165,25 +166,31 @@ class TestRunCache:
         clone = pickle.loads(pickle.dumps(td))
         assert getattr(clone, "run_cache", None) is None
 
-    def test_save_load_roundtrip(self, tmp_path):
+    def test_file_roundtrip(self, tmp_path):
         td = transitive_closure_transducer()
-        cache = RunCache()
+        path = tmp_path / "cache.sqlite"
+        cache = RunCache(disk_path=path)
         partition = sample_partitions(GRAPH, line(2), 1)[0]
         sweep_runs(line(2), td, [partition], (0,), run_cache=cache, memo=True)
         cache.store_memo(td, td.convergence_memo)
-        path = tmp_path / "cache.pkl"
-        cache.save(path)
-        loaded = RunCache.load(path)
-        assert loaded.entries == cache.entries
+        entries = dict(cache.entries)
+        cache.close()
+        reopened = RunCache(disk_path=path)
+        assert len(reopened) == 0  # memory starts cold...
+        for key, value in entries.items():
+            assert reopened.get(key) == value  # ...the file is warm
+        assert reopened.cache_misses == 0
         fresh = transitive_closure_transducer()
-        memo = loaded.memo_for(fresh)
+        memo = reopened.memo_for(fresh)
         assert isinstance(memo, ConvergenceMemo)
         assert len(memo) == len(td.convergence_memo)
         # a different transducer gets nothing back
-        assert loaded.memo_for(relay_identity_transducer()) is None
+        assert reopened.memo_for(relay_identity_transducer()) is None
+        reopened.close()
 
-    def test_save_drops_session_local_fingerprints(self, tmp_path):
-        cache = RunCache()
+    def test_session_local_fingerprints_never_reach_the_file(self, tmp_path):
+        path = tmp_path / "cache.sqlite"
+        cache = RunCache(disk_path=path)
         net = line(2)
         partition = sample_partitions(GRAPH, net, 1)[0]
         cache.record(
@@ -193,49 +200,16 @@ class TestRunCache:
             run_key("fair-random", net, "sha256:abc", partition, 0, {}), "y"
         )
         cache.memos["mem:1:2"] = {"k": "v"}
-        path = tmp_path / "cache.pkl"
-        cache.save(path)
-        loaded = RunCache.load(path)
-        assert len(loaded) == 1
-        assert loaded.memos == {}
-
-    def test_load_rejects_junk(self, tmp_path):
-        path = tmp_path / "junk.pkl"
-        path.write_bytes(pickle.dumps({"hello": "world"}))
-        with pytest.raises(ValueError):
-            RunCache.load(path)
-
-    def test_load_rejects_cross_runtime_bundles(self, tmp_path, monkeypatch):
-        from repro.net import convergence as convergence_module
-        from repro.net import runcache as runcache_module
-
-        cache = RunCache()
-        cache.record(("k",), "v")
-        cache_path = tmp_path / "cache.pkl"
-        cache.save(cache_path)
-        memo = ConvergenceMemo()
-        memo.record("k", "v")
-        memo_path = tmp_path / "memo.pkl"
-        memo.save(memo_path)
-        # Same files, "next release": the library's source changed.
-        monkeypatch.setattr(runcache_module, "_RUNTIME_TOKEN", "changed")
-        with pytest.raises(ValueError, match="different runtime"):
-            RunCache.load(cache_path)
-        with pytest.raises(ValueError, match="different runtime"):
-            convergence_module.ConvergenceMemo.load(memo_path)
-
-    def test_merge_keeps_existing_entries_on_overlap(self):
-        live = RunCache()
-        live.record(("k",), "fresh")
-        live.memos["fp"] = {"m": "fresh"}
-        stale = RunCache()
-        stale.record(("k",), "stale")
-        stale.record(("k2",), "new")
-        stale.memos["fp"] = {"m": "stale", "m2": "new"}
-        assert live.merge(stale) == 1
-        assert live.entries[("k",)] == "fresh"
-        assert live.entries[("k2",)] == "new"
-        assert live.memos["fp"] == {"m": "fresh", "m2": "new"}
+        cache.memos["sha256:abc"] = {"k": "v"}
+        cache.close()
+        conn = sqlite3.connect(path)
+        try:
+            entry_keys = [k for (k,) in conn.execute("SELECT k FROM entries")]
+            memo_keys = [k for (k,) in conn.execute("SELECT k FROM memos")]
+        finally:
+            conn.close()
+        assert len(entry_keys) == 1 and "mem:" not in entry_keys[0]
+        assert memo_keys == ["sha256:abc"]
 
     def test_python_query_fingerprint_tracks_function_body(self):
         from repro.net.runcache import _code_digest
@@ -249,19 +223,60 @@ class TestRunCache:
         assert _code_digest(one.__code__) != _code_digest(two.__code__)
         assert _code_digest(one.__code__) == _code_digest(one.__code__)
 
-    def test_memo_save_load_roundtrip(self, tmp_path):
+    def test_memo_roundtrip_through_the_file(self, tmp_path):
         td = transitive_closure_transducer()
         partition = sample_partitions(GRAPH, line(2), 1)[0]
         sweep_runs(line(2), td, [partition], (0,), memo=True)
         memo = td.convergence_memo
         assert len(memo) > 0
-        path = tmp_path / "memo.pkl"
-        memo.save(path)
-        loaded = ConvergenceMemo.load(path)
+        path = tmp_path / "cache.sqlite"
+        cache = RunCache(disk_path=path)
+        cache.store_memo(td, memo)
+        cache.close()
+        reopened = RunCache(disk_path=path)
+        loaded = reopened.memo_for(transitive_closure_transducer())
         assert loaded.entries == memo.entries
         assert (loaded.memo_hits, loaded.memo_misses) == (0, 0)
-        with pytest.raises(ValueError):
-            RunCache.load(path)
+        assert reopened.memo_for(relay_identity_transducer()) is None
+        # A snapshot stored on top of the file's row extends it.
+        reopened.store_memo(td, ConvergenceMemo({"extra": "v"}))
+        assert len(reopened.memo_for(td)) == len(memo) + 1
+        reopened.close()
+
+    def test_one_constructor_one_bound_one_persistence(self):
+        # The cache's whole public surface for bounds and persistence:
+        # one byte budget, one sqlite file.  The pickle bundles, the
+        # entry-count bound and trace compression are gone.
+        from repro.net import runcache as runcache_module
+        from repro.service import ServiceConfig
+
+        params = list(inspect.signature(RunCache.__init__).parameters)
+        assert params == ["self", "max_bytes", "disk_path"]
+        for name in ("save", "load", "merge", "compress_traces", "max_entries"):
+            assert not hasattr(RunCache, name), name
+            assert not hasattr(RunCache(), name), name
+        assert not hasattr(runcache_module, "_CompressedResult")
+        assert not hasattr(ConvergenceMemo, "save")
+        assert not hasattr(ConvergenceMemo, "load")
+        assert "cache_max_entries" not in inspect.signature(
+            ServiceConfig
+        ).parameters
+        assert "max_entries" not in RunCache().stats()
+        # The runtime token is compared in exactly one place: the
+        # sqlite tier's open.
+        import repro
+
+        root = pathlib.Path(repro.__file__).parent
+        calls = [
+            (path.name, line_no)
+            for path in sorted(root.rglob("*.py"))
+            for line_no, text in enumerate(path.read_text().splitlines())
+            if "runtime_token()" in text and "def runtime_token" not in text
+        ]
+        assert len(calls) == 1, calls
+        assert "runtime_token()" in inspect.getsource(
+            runcache_module._DiskTier._open
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -617,172 +632,6 @@ class TestCanonicalDigests:
         assert (cache.cache_hits, cache.cache_misses) == (1, 1)  # same cell
 
 
-# ---------------------------------------------------------------------------
-# The LRU bound: never exceeded, LRU-by-last-hit, eviction-transparent
-# ---------------------------------------------------------------------------
-
-
-class TestRunCacheLRUBound:
-    def test_bound_validation(self):
-        with pytest.raises(ValueError):
-            RunCache(max_entries=0)
-        RunCache(max_entries=1)  # smallest legal bound
-
-    def test_construction_trims_to_bound(self):
-        entries = {("k", i): i for i in range(6)}
-        cache = RunCache(entries, max_entries=4)
-        assert len(cache) == 4
-        assert list(cache.entries) == [("k", i) for i in range(2, 6)]
-        assert cache.evictions == 2
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        st.lists(
-            st.tuples(st.booleans(), st.integers(0, 9)),
-            min_size=1,
-            max_size=40,
-        ),
-        st.integers(1, 5),
-    )
-    def test_lru_matches_reference_model(self, ops, bound):
-        # The cache against an OrderedDict reference LRU: the store
-        # never exceeds the bound, hits promote, eviction order is
-        # LRU-by-last-hit.
-        from collections import OrderedDict
-
-        cache = RunCache(max_entries=bound)
-        model: OrderedDict = OrderedDict()
-        for is_record, k in ops:
-            key = ("k", k)
-            if is_record:
-                cache.record(key, k)
-                model.pop(key, None)
-                model[key] = k
-                while len(model) > bound:
-                    model.popitem(last=False)
-            else:
-                got = cache.get(key)
-                if key in model:
-                    assert got == model[key]
-                    model.move_to_end(key)
-                else:
-                    assert got is None
-            assert len(cache) <= bound
-            assert list(cache.entries) == list(model)
-
-    @settings(max_examples=4, deadline=None)
-    @given(sweep_cases(), st.sampled_from([1, 2]))
-    def test_evict_then_recompute_equals_unbounded(self, case, workers):
-        # An evict-then-recompute cycle is bit-identical to an
-        # unbounded cache: results are pure functions of their keys,
-        # so eviction costs time, never correctness.
-        inst, network, seed = case
-        partitions = sample_partitions(inst, network, 3)
-        seeds = (seed, seed + 1)
-        unbounded = RunCache()
-        bounded = RunCache(max_entries=2)
-        for _ in range(2):
-            reference = sweep_runs(
-                network, TC, partitions, seeds,
-                run_cache=unbounded, engine=SweepEngine(workers=workers),
-            )
-            churned = sweep_runs(
-                network, TC, partitions, seeds,
-                run_cache=bounded, engine=SweepEngine(workers=workers),
-            )
-            assert churned == reference
-            assert len(bounded) <= 2
-
-    def test_bound_and_recency_survive_save_load(self, tmp_path):
-        cache = RunCache(max_entries=3)
-        for i in range(5):
-            cache.record(("k", i), i)
-        assert list(cache.entries) == [("k", 2), ("k", 3), ("k", 4)]
-        cache.get(("k", 2))  # promote: ("k", 3) becomes the LRU entry
-        path = tmp_path / "bounded.pkl"
-        cache.save(path)
-        loaded = RunCache.load(path)
-        assert loaded.max_entries == 3
-        assert list(loaded.entries) == [("k", 3), ("k", 4), ("k", 2)]
-        loaded.record(("k", 9), 9)  # evicts the pre-save LRU entry
-        assert list(loaded.entries) == [("k", 4), ("k", 2), ("k", 9)]
-
-    def test_load_can_rebind_or_unbind(self, tmp_path):
-        cache = RunCache(max_entries=3)
-        for i in range(3):
-            cache.record(("k", i), i)
-        path = tmp_path / "bounded.pkl"
-        cache.save(path)
-        rebound = RunCache.load(path, max_entries=2)
-        assert rebound.max_entries == 2
-        assert list(rebound.entries) == [("k", 1), ("k", 2)]
-        unbound = RunCache.load(path, max_entries=None)
-        assert unbound.max_entries is None
-        assert len(unbound) == 3
-        # an unbounded save can be bounded on the way in
-        RunCache().save(path)
-        assert RunCache.load(path, max_entries=8).max_entries == 8
-
-    def test_merge_respects_bound(self):
-        live = RunCache(max_entries=2)
-        live.record(("k", 0), 0)
-        other = RunCache()
-        for i in range(1, 4):
-            other.record(("k", i), i)
-        live.merge(other)
-        assert len(live) == 2
-        assert list(live.entries) == [("k", 2), ("k", 3)]
-
-    def test_pickle_keeps_bound_and_compression(self):
-        cache = RunCache(max_entries=5, compress_traces=True, max_bytes=4096)
-        cache.record(("k",), "v")
-        clone = pickle.loads(pickle.dumps(cache))
-        assert clone.max_entries == 5
-        assert clone.max_bytes == 4096
-        assert clone.compress_traces is True
-        assert clone.get(("k",)) == "v"
-        assert clone.bytes == cache.bytes
-
-
-# ---------------------------------------------------------------------------
-# Trace compression: keep_trace results round-trip bit-identically
-# ---------------------------------------------------------------------------
-
-
-class TestTraceCompression:
-    def test_traced_results_compress_and_thaw_identically(self, tmp_path):
-        from repro.net import run_fair
-
-        td = transitive_closure_transducer()
-        partition = sample_partitions(GRAPH, line(2), 1)[0]
-        traced = run_fair(line(2), td, partition, seed=0, keep_trace=True)
-        assert traced.trace  # the workload really carries a trace
-        cache = RunCache(compress_traces=True)
-        cache.record(("traced",), traced)
-        assert isinstance(cache.entries[("traced",)], _CompressedResult)
-        assert cache.get(("traced",)) == traced  # thawed bit-identical
-        # untraced values are stored as-is (nothing to compress)
-        plain = run_fair(line(2), td, partition, seed=0)
-        cache.record(("plain",), plain)
-        assert cache.entries[("plain",)] is plain
-        # compression survives the persistence round-trip
-        path = tmp_path / "compressed.pkl"
-        cache.save(path)
-        loaded = RunCache.load(path)
-        assert loaded.compress_traces is True
-        assert loaded.get(("traced",)) == traced
-        assert loaded.get(("plain",)) == plain
-
-    def test_compressed_sweep_hits_reproduce_observations(self):
-        partitions = sample_partitions(GRAPH, line(3), 3)
-        reference = sweep_runs(line(3), TC, partitions, (0, 1))
-        cache = RunCache(compress_traces=True)
-        first = sweep_runs(line(3), TC, partitions, (0, 1), run_cache=cache)
-        second = sweep_runs(line(3), TC, partitions, (0, 1), run_cache=cache)
-        assert first == reference
-        assert second == reference
-
-
 class _OpaqueValue:
     """A hashable dom value with a non-injective repr (all instances
     render alike) — the shape that must NOT be digest-canonicalized."""
@@ -840,20 +689,6 @@ class TestDigestFallback:
         assert GRAPH._digest is None or isinstance(GRAPH._digest, str)
         d = instance_digest(GRAPH)
         assert GRAPH._digest == d
-
-    def test_merge_freezes_traced_entries(self):
-        from repro.net import run_fair
-        from repro.net.runcache import _CompressedResult
-
-        td = transitive_closure_transducer()
-        partition = sample_partitions(GRAPH, line(2), 1)[0]
-        traced = run_fair(line(2), td, partition, seed=0, keep_trace=True)
-        source = RunCache()  # uncompressed source (a warm-start bundle)
-        source.record(("traced",), traced)
-        target = RunCache(compress_traces=True)
-        target.merge(source)
-        assert isinstance(target.entries[("traced",)], _CompressedResult)
-        assert target.get(("traced",)) == traced
 
 
 # ---------------------------------------------------------------------------
@@ -1057,15 +892,43 @@ class TestRunCacheByteBound:
         assert cache.bytes == 0
         assert cache.evictions == 1
 
-    def test_construction_trims_to_byte_budget(self):
-        from repro.net.runcache import _weigh
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.booleans(), st.integers(0, 9)),
+            min_size=1,
+            max_size=40,
+        ),
+        st.integers(1, 5),
+    )
+    def test_lru_matches_reference_model(self, ops, bound):
+        # The cache against an OrderedDict reference LRU: with equal
+        # weights a budget of `bound` entries' worth never holds more
+        # than `bound` entries, hits promote, and eviction order is
+        # LRU-by-last-hit.
+        from collections import OrderedDict
 
-        w = _weigh("x" * 50)
-        entries = {("k", i): "x" * 50 for i in range(6)}
-        cache = RunCache(entries, max_bytes=3 * w)
-        assert list(cache.entries) == [("k", i) for i in range(3, 6)]
-        assert cache.bytes == 3 * w
-        assert cache.evictions == 3
+        w = _weigh(0)
+        assert all(_weigh(k) == w for k in range(10))
+        cache = RunCache(max_bytes=bound * w)
+        model: OrderedDict = OrderedDict()
+        for is_record, k in ops:
+            key = ("k", k)
+            if is_record:
+                cache.record(key, k)
+                model.pop(key, None)
+                model[key] = k
+                while len(model) > bound:
+                    model.popitem(last=False)
+            else:
+                got = cache.get(key)
+                if key in model:
+                    assert got == model[key]
+                    model.move_to_end(key)
+                else:
+                    assert got is None
+            assert len(cache) <= bound
+            assert list(cache.entries) == list(model)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -1081,14 +944,25 @@ class TestRunCacheByteBound:
     def test_byte_bound_invariants(self, ops, budget):
         # Whatever the op sequence: the budget is never exceeded, the
         # ledger equals the sum of the weights of the present entries,
-        # and weights track entries exactly.
+        # weights track entries exactly, and the store matches a
+        # weighted reference LRU entry for entry, in recency order.
+        from collections import OrderedDict
+
         cache = RunCache(max_bytes=budget)
+        model: OrderedDict = OrderedDict()  # key -> weight
         for is_record, k, size in ops:
             key = ("k", k)
             if is_record:
                 cache.record(key, "x" * size)
+                model.pop(key, None)
+                model[key] = _weigh("x" * size)
+                while sum(model.values()) > budget:
+                    model.popitem(last=False)
             else:
                 cache.get(key)
+                if key in model:
+                    model.move_to_end(key)
+            assert list(cache.entries) == list(model)
             assert cache.bytes <= budget
             assert cache.bytes == sum(cache._weights.values())
             assert set(cache._weights) == set(cache.entries)
@@ -1096,8 +970,7 @@ class TestRunCacheByteBound:
     @settings(max_examples=4, deadline=None)
     @given(sweep_cases(), st.sampled_from([1, 2]))
     def test_byte_evict_then_recompute_equals_unbounded(self, case, workers):
-        # The byte-weighted mirror of the max_entries property: an
-        # evict-then-recompute cycle under a byte budget is
+        # An evict-then-recompute cycle under a byte budget is
         # bit-identical to the unbounded cache, for serial and
         # parallel sweeps alike.
         inst, network, seed = case
@@ -1119,55 +992,14 @@ class TestRunCacheByteBound:
             assert bounded.bytes <= budget
             assert bounded.bytes == sum(bounded._weights.values())
 
-    def test_byte_bound_survives_save_load_and_rebinds(self, tmp_path):
-        from repro.net.runcache import _weigh
-
-        cache = RunCache(max_bytes=1 << 16)
-        for i in range(4):
-            cache.record(("k", i), "x" * 32)
-        path = tmp_path / "bytes.pkl"
-        cache.save(path)
-        loaded = RunCache.load(path)
-        assert loaded.max_bytes == 1 << 16
-        assert loaded.bytes == cache.bytes
-        w = _weigh("x" * 32)
-        rebound = RunCache.load(path, max_bytes=2 * w)
-        assert list(rebound.entries) == [("k", 2), ("k", 3)]
-        assert rebound.bytes <= 2 * w
-        unbound = RunCache.load(path, max_bytes=None)
-        assert unbound.max_bytes is None
-        assert len(unbound) == 4
-
-    def test_load_rejects_old_version_bundles(self, tmp_path):
-        from repro.net.runcache import _CACHE_FORMAT, runtime_token
-
-        payload = {
-            "format": _CACHE_FORMAT,
-            "version": 2,
-            "runtime": runtime_token(),
-            "max_entries": None,
-            "compress_traces": False,
-            "entries": {},
-            "memos": {},
-        }
-        path = tmp_path / "v2.pkl"
-        path.write_bytes(pickle.dumps(payload))
-        with pytest.raises(ValueError, match="version"):
-            RunCache.load(path)
-
-    def test_compressed_entries_weigh_their_blob(self):
-        from repro.net import run_fair
-        from repro.net.runcache import _CompressedResult, _weigh
-
-        td = transitive_closure_transducer()
-        partition = sample_partitions(GRAPH, line(2), 1)[0]
-        traced = run_fair(line(2), td, partition, seed=0, keep_trace=True)
-        cache = RunCache(compress_traces=True)
-        cache.record(("traced",), traced)
-        frozen = cache.entries[("traced",)]
-        assert isinstance(frozen, _CompressedResult)
-        assert cache.bytes == len(frozen.blob)
-        assert cache.bytes < _weigh(traced)  # compression pays
+    def test_pickle_keeps_the_byte_bound(self):
+        cache = RunCache(max_bytes=4096)
+        cache.record(("k",), "v")
+        clone = pickle.loads(pickle.dumps(cache))
+        assert clone.max_bytes == 4096
+        assert clone.get(("k",)) == "v"
+        assert clone.bytes == cache.bytes
+        assert clone._weights == cache._weights
 
 
 # ---------------------------------------------------------------------------
@@ -1175,12 +1007,16 @@ class TestRunCacheByteBound:
 # ---------------------------------------------------------------------------
 
 
+#: A budget that holds exactly one of the "one"/"two" test values.
+_ONE = _weigh("one")
+
+
 class TestDiskTier:
     def _key(self, i):
         return run_key("fair-random", line(2), "sha256:abc", f"hp:{i}", i, {})
 
     def test_eviction_demotes_and_get_promotes(self, tmp_path):
-        cache = RunCache(max_entries=1, disk_path=tmp_path / "tier.sqlite")
+        cache = RunCache(max_bytes=_ONE, disk_path=tmp_path / "tier.sqlite")
         cache.record(self._key(1), "one")
         cache.record(self._key(2), "two")  # evicts and demotes key 1
         assert cache.demotions == 1
@@ -1190,7 +1026,7 @@ class TestDiskTier:
         assert cache.promotions == 1
         assert cache.cache_hits == hits0 + 1  # a disk hit is a hit
         assert cache.cache_misses == 0
-        # the promotion demoted key 2 in turn (max_entries=1) — the
+        # the promotion demoted key 2 in turn (one entry's budget) — the
         # tiers cycle, they never discard
         assert cache.get(self._key(2)) == "two"
         assert cache.promotions == 2
@@ -1198,7 +1034,7 @@ class TestDiskTier:
 
     def test_disk_tier_survives_reopen(self, tmp_path):
         path = tmp_path / "tier.sqlite"
-        cache = RunCache(max_entries=1, disk_path=path)
+        cache = RunCache(max_bytes=_ONE, disk_path=path)
         cache.record(self._key(1), "one")
         cache.record(self._key(2), "two")
         cache.close()
@@ -1212,24 +1048,106 @@ class TestDiskTier:
         from repro.net import runcache as runcache_module
 
         path = tmp_path / "tier.sqlite"
-        cache = RunCache(max_entries=1, disk_path=path)
+        cache = RunCache(max_bytes=_ONE, disk_path=path)
         cache.record(self._key(1), "one")
         cache.record(self._key(2), "two")
         assert cache.stats()["disk_entries"] == 1
         cache.close()
         # Same file, "next release": the library's source changed.
         monkeypatch.setattr(runcache_module, "_RUNTIME_TOKEN", "changed")
-        stale = RunCache(disk_path=path)
+        with pytest.warns(RuntimeWarning, match="different runtime") as rec:
+            stale = RunCache(disk_path=path)
+        assert str(path) in str(rec[0].message)  # names the file
         assert stale.stats()["disk_entries"] == 0  # purged at open
         assert stale.get(self._key(1)) is None
         assert stale.cache_misses == 1
         stale.close()
 
+    def test_stale_tier_purges_memo_rows_too(self, tmp_path, monkeypatch):
+        from repro.net import runcache as runcache_module
+
+        path = tmp_path / "tier.sqlite"
+        cache = RunCache(disk_path=path)
+        cache.store_memo(TC, ConvergenceMemo({"k": "v"}))
+        cache.close()
+        monkeypatch.setattr(runcache_module, "_RUNTIME_TOKEN", "changed")
+        with pytest.warns(RuntimeWarning, match="different runtime"):
+            stale = RunCache(disk_path=path)
+        assert stale.memo_for(TC) is None
+        stale.close()
+
+    def test_old_format_tier_is_purged_with_a_warning(self, tmp_path):
+        # A file stamped by the previous layout (v3: no memos table)
+        # under this very runtime is still a format mismatch: purged
+        # and warned about, never read.
+        from repro.net.runcache import _CACHE_FORMAT, runtime_token
+
+        path = tmp_path / "tier.sqlite"
+        conn = sqlite3.connect(path)
+        conn.execute("CREATE TABLE meta (k TEXT PRIMARY KEY, v TEXT)")
+        conn.execute("CREATE TABLE entries (k TEXT PRIMARY KEY, v BLOB)")
+        conn.execute(
+            "INSERT INTO meta VALUES ('runtime', ?)",
+            (f"{_CACHE_FORMAT}/3/{runtime_token()}",),
+        )
+        conn.execute(
+            "INSERT INTO entries VALUES (?, ?)", ("k", pickle.dumps("old"))
+        )
+        conn.commit()
+        conn.close()
+        with pytest.warns(RuntimeWarning, match="different file format"):
+            cache = RunCache(disk_path=path)
+        assert cache.stats()["disk_entries"] == 0
+        cache.close()
+
+    def test_fresh_file_opens_without_a_warning(self, tmp_path):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            RunCache(disk_path=tmp_path / "tier.sqlite").close()
+            RunCache(disk_path=tmp_path / "tier.sqlite").close()
+
+    def test_oversized_disk_hit_is_served_without_churn(self, tmp_path):
+        # Regression: an entry heavier than the whole budget was
+        # promoted on every disk hit, evicted at once and its row
+        # rewritten and committed again — 6 evictions and 6 demotions
+        # for one record and 5 hits.
+        cache = RunCache(max_bytes=10, disk_path=tmp_path / "tier.sqlite")
+        big = "x" * 1000
+        cache.record(self._key(1), big)  # too big: demoted at once
+        assert (cache.evictions, cache.demotions) == (1, 1)
+        for _ in range(5):
+            assert cache.get(self._key(1)) == big
+        assert cache.cache_hits == 5 and cache.cache_misses == 0
+        assert (cache.evictions, cache.demotions) == (1, 1)
+        assert cache.promotions == 0
+        assert len(cache) == 0 and cache.bytes == 0
+        cache.close()
+
+    def test_close_spills_in_one_commit(self, tmp_path):
+        # Regression: the shutdown spill committed once per row.
+        path = tmp_path / "tier.sqlite"
+        cache = RunCache(disk_path=path)
+        for i in range(50):
+            cache.record(self._key(i), i)
+        cache.store_memo(TC, ConvergenceMemo({"k": "v"}))
+        statements = []
+        cache._disk._conn.set_trace_callback(statements.append)
+        cache.close()
+        assert sum(s.startswith("COMMIT") for s in statements) == 1
+        # And again on reopen, when every row is already on disk.
+        reopened = RunCache(disk_path=path)
+        for i in range(50):
+            assert reopened.get(self._key(i)) == i
+        statements.clear()
+        reopened._disk._conn.set_trace_callback(statements.append)
+        reopened.close()
+        assert sum(s.startswith("COMMIT") for s in statements) == 1
+
     def test_session_local_and_object_keys_never_spill(self, tmp_path):
         from repro.net import full_replication
         from repro.net.runcache import _disk_key_text
 
-        cache = RunCache(max_entries=1, disk_path=tmp_path / "tier.sqlite")
+        cache = RunCache(max_bytes=_ONE, disk_path=tmp_path / "tier.sqlite")
         mem_key = run_key("fair-random", line(2), "mem:1:2", "hp:x", 0, {})
         cache.record(mem_key, "local")
         cache.record(self._key(1), "one")  # evicts mem_key
@@ -1249,10 +1167,14 @@ class TestDiskTier:
         # sqlite → promote must be bit-identical to a fresh run.
         td = transitive_closure_transducer()
         partitions = sample_partitions(GRAPH, line(2), 2)
-        reference = sweep_runs(line(2), td, partitions, (0, 1))
+        unbounded = RunCache()
+        reference = sweep_runs(
+            line(2), td, partitions, (0, 1), run_cache=unbounded
+        )
         cache = RunCache(
-            max_bytes=1, disk_path=tmp_path / "tier.sqlite"
-        )  # every entry demotes straight to disk
+            max_bytes=max(unbounded._weights.values()),
+            disk_path=tmp_path / "tier.sqlite",
+        )  # room for one result: every other entry demotes to disk
         churned = sweep_runs(
             line(2), td, partitions, (0, 1), run_cache=cache
         )
@@ -1269,6 +1191,98 @@ class TestDiskTier:
         cache.close()
         cache.close()
         assert cache.get(self._key(1)) == "one"  # memory tier still live
+
+    def test_reopen_can_rebind_the_byte_bound(self, tmp_path):
+        # The bound belongs to the session, not to the file: a file
+        # written unbounded reopens under a tight budget (every row
+        # still served, memory held to the budget) and back unbounded.
+        path = tmp_path / "tier.sqlite"
+        cache = RunCache(disk_path=path)
+        for i in range(3):
+            cache.record(self._key(i), f"v{i}")
+        cache.close()
+        tight = RunCache(max_bytes=_weigh("v0"), disk_path=path)
+        for i in range(3):
+            assert tight.get(self._key(i)) == f"v{i}"
+        assert tight.cache_misses == 0
+        assert len(tight) == 1 and tight.bytes <= tight.max_bytes
+        assert tight.stats()["disk_entries"] == 3
+        tight.close()
+        loose = RunCache(disk_path=path)
+        for i in range(3):
+            assert loose.get(self._key(i)) == f"v{i}"
+        assert len(loose) == 3 and loose.promotions == 3
+        loose.close()
+
+    def test_memo_rows_accumulate_across_sessions(self, tmp_path):
+        # store_memo seeds itself from the file's row, so a session that
+        # only adds certificates never drops the earlier session's.
+        path = tmp_path / "tier.sqlite"
+        first = RunCache(disk_path=path)
+        first.store_memo(TC, ConvergenceMemo({"a": 1}))
+        first.close()
+        second = RunCache(disk_path=path)
+        second.store_memo(TC, ConvergenceMemo({"b": 2}))
+        second.close()
+        third = RunCache(disk_path=path)
+        assert third.memo_for(transitive_closure_transducer()).entries == {
+            "a": 1,
+            "b": 2,
+        }
+        third.close()
+
+    def test_one_file_keeps_transducers_apart(self, tmp_path):
+        # One file serves many transducers: the fingerprint in every
+        # key and memo row keeps their results and certificates apart.
+        path = tmp_path / "tier.sqlite"
+        relay = relay_identity_transducer()
+        partitions = sample_partitions(GRAPH, line(2), 2)
+        relay_partitions = sample_partitions(ELEMENTS, line(2), 2)
+        cache = RunCache(disk_path=path)
+        tc_ref = sweep_runs(
+            line(2), TC, partitions, (0,), run_cache=cache
+        )
+        relay_ref = sweep_runs(
+            line(2), relay, relay_partitions, (0,), run_cache=cache
+        )
+        cache.store_memo(TC, ConvergenceMemo({"tc": 1}))
+        cache.store_memo(relay, ConvergenceMemo({"relay": 2}))
+        cache.close()
+        reopened = RunCache(disk_path=path)
+        assert sweep_runs(
+            line(2), transitive_closure_transducer(), partitions, (0,),
+            run_cache=reopened,
+        ) == tc_ref
+        assert sweep_runs(
+            line(2), relay_identity_transducer(), relay_partitions, (0,),
+            run_cache=reopened,
+        ) == relay_ref
+        assert reopened.cache_misses == 0
+        assert reopened.memo_for(TC).entries == {"tc": 1}
+        assert reopened.memo_for(relay).entries == {"relay": 2}
+        reopened.close()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_reopened_file_serves_a_whole_sweep(self, tmp_path, workers):
+        # The warm start end to end: a sweep recorded into the file
+        # and closed is served, cell for cell, by the next session —
+        # serial or parallel — without re-executing a single run.
+        path = tmp_path / "tier.sqlite"
+        partitions = sample_partitions(GRAPH, line(3), 3)
+        cold = RunCache(max_bytes=4096, disk_path=path)
+        reference = sweep_runs(
+            line(3), TC, partitions, (0, 1), run_cache=cold
+        )
+        cold.close()
+        warm = RunCache(max_bytes=4096, disk_path=path)
+        got = sweep_runs(
+            line(3), TC, partitions, (0, 1),
+            run_cache=warm, engine=SweepEngine(workers=workers),
+        )
+        assert got == reference
+        assert warm.cache_misses == 0
+        assert warm.cache_hits + warm.cache_dedup == len(reference)
+        warm.close()
 
 
 # ---------------------------------------------------------------------------
@@ -1295,7 +1309,7 @@ class TestWorkerSharedTier:
         assert parent.entries[("fresh",)] == "f"
 
     def test_merge_worker_delta_respects_bounds(self):
-        parent = RunCache(max_entries=2)
+        parent = RunCache(max_bytes=2 * _weigh("a"))
         parent.record(("a",), "a")
         parent.merge_worker_delta({("b",): "b", ("c",): "c"})
         assert len(parent) == 2
@@ -1303,13 +1317,13 @@ class TestWorkerSharedTier:
 
     def test_view_pickles_memory_only(self, tmp_path):
         parent = RunCache(
-            max_entries=8, disk_path=tmp_path / "tier.sqlite"
+            max_bytes=4096, disk_path=tmp_path / "tier.sqlite"
         )
         parent.record(("k",), "v")
         view = parent.worker_view()
         clone = pickle.loads(pickle.dumps(view))
         assert clone.disk_path is None and clone._disk is None
-        assert clone.max_entries is None and clone.max_bytes is None
+        assert clone.max_bytes is None
         assert clone.entries == {("k",): "v"}
         clone.start_journal()  # what _run_task_mp does per task
         clone.record(("k2",), "v2")
@@ -1366,74 +1380,173 @@ class TestWorkerSharedTier:
 
 
 # ---------------------------------------------------------------------------
-# Damage degradation: corrupt bundles and disk tiers never crash a sweep
+# Damage degradation: a damaged sqlite file never crashes a sweep
 # ---------------------------------------------------------------------------
 
 
 class TestCacheDamageDegradation:
-    """A damaged persistence layer degrades, it does not crash.
+    """A damaged sqlite file degrades, it does not crash.
 
-    An undecodable bundle (truncated write, flipped bytes) loads as a
-    cold cache with a :class:`RuntimeWarning`; a corrupt sqlite disk
-    tier is purged and recreated at open, or disabled mid-session —
-    and in every case the sweep on top runs to completion.  Decodable
-    bundles with the *wrong contents* still raise ``ValueError``: that
-    is a caller error (wrong file, wrong runtime), not storage damage.
+    A corrupt file is purged and recreated at open, a file that fails
+    mid-session disables the tier, a row that fails its checksum is a
+    miss — and in every case the sweep on top runs to completion and
+    equals the uncached reference: damage costs warmth, never a
+    decoder error and never a wrong hit.
     """
 
-    def _saved_bundle(self, tmp_path):
-        cache = RunCache()
-        partition = sample_partitions(GRAPH, line(2), 1)[0]
-        sweep_runs(line(2), TC, [partition], (0,), run_cache=cache)
-        path = tmp_path / "cache.pkl"
-        cache.save(path)
-        return path
+    def _written_file(self, tmp_path):
+        """A populated file (entries and a memo row) and the uncached
+        reference sweep it was recorded from."""
+        td = transitive_closure_transducer()
+        partitions = sample_partitions(GRAPH, line(2), 2)
+        path = tmp_path / "tier.sqlite"
+        cache = RunCache(disk_path=path)
+        reference = sweep_runs(
+            line(2), td, partitions, (0, 1), run_cache=cache, memo=True
+        )
+        cache.store_memo(td, td.convergence_memo)
+        memo_entries = dict(td.convergence_memo.entries)
+        cache.close()
+        return path, partitions, reference, memo_entries
 
-    def test_truncated_bundle_loads_cold_with_a_warning(self, tmp_path):
-        path = self._saved_bundle(tmp_path)
+    def _tamper(self, path, table, damage):
+        """Replace the value of *table*'s first row with ``damage(v)``."""
+        conn = sqlite3.connect(path)
+        try:
+            key, value = conn.execute(
+                f"SELECT k, v FROM {table} ORDER BY rowid LIMIT 1"
+            ).fetchone()
+            conn.execute(
+                f"UPDATE {table} SET v = ? WHERE k = ?", (damage(value), key)
+            )
+            conn.commit()
+        finally:
+            conn.close()
+
+    @pytest.mark.parametrize("keep", [0.25, 0.5, 0.9])
+    def test_truncated_file_opens_cold_with_a_warning(self, tmp_path, keep):
+        path, partitions, reference, _ = self._written_file(tmp_path)
         blob = path.read_bytes()
-        assert len(blob) > 16
-        path.write_bytes(blob[: len(blob) // 2])
-        with pytest.warns(RuntimeWarning, match="damaged"):
-            loaded = RunCache.load(path)
-        assert len(loaded) == 0
-        loaded.record(("k",), "v")  # cold but fully usable
-        assert loaded.get(("k",)) == "v"
+        path.write_bytes(blob[: int(len(blob) * keep)])
+        with pytest.warns(RuntimeWarning, match="corrupt|disabling the tier"):
+            cache = RunCache(disk_path=path)
+            got = sweep_runs(
+                line(2), TC, partitions, (0, 1), run_cache=cache
+            )
+        assert got == reference
+        cache.record(("k",), "v")  # cold but fully usable
+        assert cache.get(("k",)) == "v"
+        cache.close()
 
-    def test_byte_flipped_bundle_never_propagates_decoder_errors(
+    def test_byte_flipped_file_never_propagates_decoder_errors(
         self, tmp_path
     ):
-        # Flip one byte at a time across the stream: every position
-        # either still decodes (and validates or ValueErrors) or
-        # degrades with the warning — no pickle/EOF error ever escapes.
-        path = self._saved_bundle(tmp_path)
-        blob = bytearray(path.read_bytes())
-        step = max(1, len(blob) // 40)
+        # Flip one byte at a time across the file: every position opens,
+        # sweeps and closes without an exception escaping, the sweep
+        # equals the reference, and a memo that comes back is the one
+        # that was stored — sqlite checksums no page, the row seals do.
+        path, partitions, reference, memo_entries = self._written_file(
+            tmp_path
+        )
+        blob = path.read_bytes()
+        step = max(1, len(blob) // 60)
         for pos in range(0, len(blob), step):
             flipped = bytearray(blob)
             flipped[pos] ^= 0xFF
             path.write_bytes(bytes(flipped))
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
-                try:
-                    loaded = RunCache.load(path)
-                except ValueError:
-                    continue  # decoded to the wrong shape: caller error
-                assert isinstance(loaded, RunCache)
+                cache = RunCache(disk_path=path)
+                got = sweep_runs(
+                    line(2), TC, partitions, (0, 1), run_cache=cache
+                )
+                memo = cache.memo_for(TC)
+                cache.close()
+            assert got == reference, pos
+            assert memo is None or memo.entries == memo_entries, pos
 
-    def test_wrong_content_bundles_still_raise_not_warn(self, tmp_path):
-        path = tmp_path / "junk.pkl"
-        path.write_bytes(pickle.dumps({"hello": "world"}))
-        with pytest.raises(ValueError, match="not a saved RunCache"):
-            RunCache.load(path)
-        with pytest.raises(FileNotFoundError):
-            RunCache.load(tmp_path / "missing.pkl")
+    def test_damaged_row_is_a_miss_and_is_rewritten(self, tmp_path):
+        path, partitions, reference, _ = self._written_file(tmp_path)
+        # Flip the last byte of one row's pickle: the page is intact,
+        # so only the row's seal can tell.
+        self._tamper(
+            path, "entries", lambda v: v[:-1] + bytes([v[-1] ^ 1])
+        )
+        damaged = RunCache(disk_path=path)
+        with pytest.warns(RuntimeWarning, match="damaged entries row"):
+            got = sweep_runs(
+                line(2), TC, partitions, (0, 1), run_cache=damaged
+            )
+        assert got == reference
+        assert damaged.cache_misses == 1  # the damaged cell re-ran
+        damaged.close()  # ...and the spill overwrote its row
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            healed = RunCache(disk_path=path)
+            assert sweep_runs(
+                line(2), TC, partitions, (0, 1), run_cache=healed
+            ) == reference
+        assert healed.cache_misses == 0
+        healed.close()
+
+    def test_row_under_the_wrong_key_is_never_served(self, tmp_path):
+        # Two rows with their values swapped (what a damaged index can
+        # do): each value is an intact pickle, but the seal covers the
+        # key too, so both cells miss instead of serving the other's
+        # result.
+        path, partitions, reference, _ = self._written_file(tmp_path)
+        conn = sqlite3.connect(path)
+        try:
+            (k1, v1), (k2, v2) = conn.execute(
+                "SELECT k, v FROM entries ORDER BY rowid LIMIT 2"
+            ).fetchall()
+            conn.execute("UPDATE entries SET v = ? WHERE k = ?", (v2, k1))
+            conn.execute("UPDATE entries SET v = ? WHERE k = ?", (v1, k2))
+            conn.commit()
+        finally:
+            conn.close()
+        cache = RunCache(disk_path=path)
+        with pytest.warns(RuntimeWarning, match="damaged entries row"):
+            got = sweep_runs(
+                line(2), TC, partitions, (0, 1), run_cache=cache
+            )
+        assert got == reference
+        assert cache.cache_misses == 2
+        cache.close()
+
+    def test_damaged_memo_row_is_ignored_with_a_warning(self, tmp_path):
+        path, _, _, memo_entries = self._written_file(tmp_path)
+        self._tamper(path, "memos", lambda v: bytes(len(v)))
+        cache = RunCache(disk_path=path)
+        with pytest.warns(RuntimeWarning, match="damaged memos row"):
+            assert cache.memo_for(TC) is None
+            cache.store_memo(TC, ConvergenceMemo(dict(memo_entries)))
+        cache.close()
+        healed = RunCache(disk_path=path)
+        assert healed.memo_for(TC).entries == memo_entries
+        healed.close()
+
+    def test_unopenable_path_degrades_to_memory_only(self, tmp_path):
+        path = tmp_path / "no-such-directory" / "tier.sqlite"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            cache = RunCache(max_bytes=_weigh("v0"), disk_path=path)
+        messages = [str(w.message) for w in caught]
+        assert all(w.category is RuntimeWarning for w in caught)
+        assert "disabling the tier" in messages[-1]
+        for i in range(3):
+            cache.record(("k", i), f"v{i}")
+        assert cache.get(("k", 2)) == "v2"
+        assert cache.get(("k", 0)) is None  # evicted, nowhere to demote
+        assert cache.stats()["disk_entries"] == 0
+        cache.close()
+        assert not path.exists()
 
     def test_corrupt_disk_tier_is_purged_at_open(self, tmp_path):
         disk = tmp_path / "tier.sqlite"
         disk.write_bytes(b"this is not a sqlite database, not even close")
         with pytest.warns(RuntimeWarning, match="corrupt"):
-            cache = RunCache(max_entries=1, disk_path=str(disk))
+            cache = RunCache(max_bytes=_weigh("v0"), disk_path=str(disk))
         try:
             # the fresh tier really works: evictions demote, misses promote
             for i in range(3):
@@ -1450,7 +1563,7 @@ class TestCacheDamageDegradation:
         disk = tmp_path / "tier.sqlite"
         disk.write_bytes(b"\x00" * 512)
         with pytest.warns(RuntimeWarning, match="corrupt"):
-            cache = RunCache(max_entries=3, disk_path=str(disk))
+            cache = RunCache(max_bytes=4096, disk_path=str(disk))
         try:
             got = sweep_runs(
                 line(3), TC, partitions, (0, 1),
@@ -1462,7 +1575,7 @@ class TestCacheDamageDegradation:
 
     def test_mid_session_disk_failure_disables_the_tier(self, tmp_path):
         disk = tmp_path / "tier.sqlite"
-        cache = RunCache(max_entries=1, disk_path=str(disk))
+        cache = RunCache(max_bytes=_weigh("v0"), disk_path=str(disk))
         try:
             for i in range(3):
                 cache.record(("k", i), f"v{i}")

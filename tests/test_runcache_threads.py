@@ -22,8 +22,12 @@ import pytest
 import repro.net.runcache as runcache_mod
 from repro.core import transitive_closure_transducer
 from repro.db import Fact, Instance, schema
-from repro.net import check_consistency, line
-from repro.net.runcache import RunCache, runtime_token
+from repro.net import ConvergenceMemo, check_consistency, line
+from repro.net.runcache import RunCache, _weigh, runtime_token
+
+#: Every ``{"cell": i}`` value below (i < 256) weighs the same, so a
+#: budget of ``n * _CELL_WEIGHT`` holds exactly n of them.
+_CELL_WEIGHT = _weigh({"cell": 0})
 
 
 @pytest.fixture(autouse=True)
@@ -123,12 +127,6 @@ class TestCacheHammer:
         assert cache.bytes <= cache.max_bytes
         assert cache.evictions > 0
 
-    def test_entry_bound_holds_under_concurrency(self):
-        cache = RunCache(max_entries=8)
-        self._hammer(cache)
-        assert len(cache.entries) <= 8
-        assert cache.bytes == sum(cache._weights.values())
-
 
 class TestPerSweepCacheCounts:
     """A consistency report counts its own sweep's cache lookups.
@@ -170,7 +168,8 @@ class TestDiskTierThreads:
 
     def test_cross_thread_get_and_promote(self, tmp_path):
         cache = RunCache(
-            max_entries=4, disk_path=str(tmp_path / "tier.sqlite")
+            max_bytes=4 * _CELL_WEIGHT,
+            disk_path=str(tmp_path / "tier.sqlite"),
         )
         for i in range(32):
             cache.record(_key(i), {"cell": i})
@@ -192,7 +191,8 @@ class TestDiskTierThreads:
 
     def test_close_races_inflight_reads(self, tmp_path):
         cache = RunCache(
-            max_entries=2, disk_path=str(tmp_path / "tier.sqlite")
+            max_bytes=2 * _CELL_WEIGHT,
+            disk_path=str(tmp_path / "tier.sqlite"),
         )
         for i in range(24):
             cache.record(_key(i), {"cell": i})
@@ -221,7 +221,8 @@ class TestDiskTierThreads:
     def test_demote_while_reading(self, tmp_path):
         """Writers spilling to disk and readers promoting interleave."""
         cache = RunCache(
-            max_entries=6, disk_path=str(tmp_path / "tier.sqlite")
+            max_bytes=6 * _CELL_WEIGHT,
+            disk_path=str(tmp_path / "tier.sqlite"),
         )
 
         def work(idx: int):
@@ -232,7 +233,31 @@ class TestDiskTierThreads:
 
         _run_threads(6, work)
         assert cache.bytes == sum(cache._weights.values())
-        assert len(cache.entries) <= 6
+        assert cache.bytes <= cache.max_bytes
+
+    def test_memo_snapshots_from_threads_reach_the_file(self, tmp_path):
+        """Concurrent store_memo/memo_for on one fingerprint lose no
+        certificate, in memory or in the file they spill to."""
+        path = str(tmp_path / "tier.sqlite")
+        td = transitive_closure_transducer()
+        seeded = RunCache(disk_path=path)
+        seeded.store_memo(td, ConvergenceMemo({("seed",): True}))
+        seeded.close()
+        cache = RunCache(disk_path=path)
+
+        def work(idx: int):
+            for i in range(40):
+                cache.store_memo(td, ConvergenceMemo({(idx, i): True}))
+                memo = cache.memo_for(td)
+                assert (idx, i) in memo.entries
+                assert ("seed",) in memo.entries
+
+        _run_threads(6, work)
+        cache.close()
+        reopened = RunCache(disk_path=path)
+        expected = {("seed",)} | {(idx, i) for idx in range(6) for i in range(40)}
+        assert set(reopened.memo_for(td).entries) == expected
+        reopened.close()
 
 
 class TestRuntimeTokenRace:

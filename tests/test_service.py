@@ -403,10 +403,11 @@ class TestRestartWarmFromDiskTier:
         store = str(tmp_path / "jobs.sqlite")
         payload = _payload(seeds=[41, 42], partition_count=3)
 
-        # First life: a tiny memory bound forces every finished cell
-        # to demote to the disk tier as fresher ones land.
+        # First life: a memory budget of about two results forces the
+        # finished cells to demote to the disk tier as fresher ones
+        # land.
         st = ServiceThread(ServiceConfig(
-            port=0, job_workers=2, cache_max_entries=2, cache_max_bytes=None,
+            port=0, job_workers=2, cache_max_bytes=3000,
             cache_disk_path=disk, job_store_path=store,
         )).start()
         try:
@@ -423,7 +424,7 @@ class TestRestartWarmFromDiskTier:
         # still addressable, and the re-run sweep is served warm from
         # disk — hits with zero recomputed cells.
         st2 = ServiceThread(ServiceConfig(
-            port=0, job_workers=2, cache_max_entries=2, cache_max_bytes=None,
+            port=0, job_workers=2, cache_max_bytes=3000,
             cache_disk_path=disk, job_store_path=store,
         )).start()
         try:
@@ -442,6 +443,47 @@ class TestRestartWarmFromDiskTier:
             assert snap["run_cache"]["cache_hits"] >= job2.result["cache"]["hits"]
             assert snap["run_cache"]["promotions"] > 0
             assert snap["jobs"]["jobs_restored"] >= 1
+        finally:
+            st2.stop()
+
+    def test_stale_tier_warns_and_the_service_starts_cold(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.net.runcache as runcache_mod
+
+        disk = str(tmp_path / "service-cache.sqlite")
+        payload = _payload(seeds=[41, 42], partition_count=3)
+
+        # First life under an older library: the file fills with rows
+        # stamped by that runtime.
+        monkeypatch.setattr(runcache_mod, "_RUNTIME_TOKEN", "older-release")
+        st = ServiceThread(ServiceConfig(
+            port=0, job_workers=2, cache_disk_path=disk,
+        )).start()
+        try:
+            _, first = _request(st.base_url, "/jobs", payload)
+            job1 = st.service.orchestrator.wait(first["job_id"], timeout=240)
+            assert job1.status == "done"
+        finally:
+            st.stop()
+        monkeypatch.undo()
+
+        # Second life under this runtime: the stale file is purged with
+        # a warning naming it, and the same job runs cold, not from
+        # another runtime's rows.
+        with pytest.warns(RuntimeWarning, match="different runtime") as rec:
+            st2 = ServiceThread(ServiceConfig(
+                port=0, job_workers=2, cache_disk_path=disk,
+            ))
+        assert disk in str(rec[0].message)
+        st2.start()
+        try:
+            _, second = _request(st2.base_url, "/jobs", payload)
+            job2 = st2.service.orchestrator.wait(second["job_id"], timeout=240)
+            assert job2.status == "done"
+            assert job2.result["cache"]["hits"] == 0
+            assert job2.result["cache"]["misses"] > 0
+            assert _verdict(job2.result) == _verdict(job1.result)
         finally:
             st2.stop()
 
